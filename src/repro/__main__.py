@@ -8,7 +8,7 @@
     python -m repro analyze [paths...]         # whole-program semantic analysis
     python -m repro check-determinism fft      # cross-mode/-process chains
     python -m repro profile fft                # cProfile + component report
-    python -m repro profile fft --engines fast,event   # engine A/B timing
+    python -m repro profile fft --engines all  # engine A/B timing
     python -m repro profile fft --counters     # REPRO_PERF counter snapshot
     python -m repro bench --quick              # wall-clock regression suite
     python -m repro bench --compare OLD NEW    # exit 1 on regression
@@ -35,6 +35,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from repro.sim.system import ENGINES
 
 
 def _apply_engine_flags(args) -> None:
@@ -63,13 +65,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-skip", action="store_true",
                         help="disable cycle fast-forwarding "
                              "(env REPRO_NO_SKIP)")
-    parser.add_argument("--engine", default=None,
-                        choices=("naive", "fast", "event", "batched"),
-                        help="simulation loop: naive cycle-by-cycle, "
-                             "fast (skip windows), event (wake heap; "
-                             "the default), or batched (windowed "
-                             "models) — all bit-identical "
-                             "(env REPRO_ENGINE)")
+    parser.add_argument("--engine", default=None, choices=ENGINES,
+                        help="simulation loop: naive cycle-by-cycle, or "
+                             "fast (skip quiet windows; the default) — "
+                             "bit-identical (env REPRO_ENGINE)")
     parser.add_argument("--verify-skip", action="store_true",
                         help="cross-check fast-forwarded runs against the "
                              "cycle-by-cycle loop (env REPRO_VERIFY_SKIP)")
@@ -157,12 +156,6 @@ def _cmd_analyze(args) -> int:
         argv.append("--concurrency")
     if args.show_suppressed:
         argv.append("--show-suppressed")
-    if args.batchability:
-        argv += ["--batchability", args.batchability]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
     return analyze_main(argv)
 
 
@@ -410,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(CONC001–CONC005)")
     analyze_p.add_argument("--list-rules", action="store_true")
     analyze_p.add_argument("--show-suppressed", action="store_true")
-    analyze_p.add_argument("--batchability", default=None, metavar="PATH",
-                           help="also write batchability.json to PATH")
-    analyze_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                           help="incremental analysis cache directory")
-    analyze_p.add_argument("--no-cache", action="store_true")
 
     stats_p = sub.add_parser(
         "stats", help="run one workload and print telemetry summaries"
@@ -516,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--seed", type=int, default=1)
     prof_p.add_argument("--top", type=int, default=15, metavar="N",
                         help="top functions to list by tottime")
-    prof_p.add_argument("--engine", default=None,
-                        choices=("naive", "fast", "event", "batched"),
+    prof_p.add_argument("--engine", default=None, choices=ENGINES,
                         help="loop implementation to profile "
                              "(env REPRO_ENGINE)")
     prof_p.add_argument("--engines", default=None, metavar="A,B,...",
@@ -542,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     det_p.add_argument("--seed", type=int, default=1)
     det_p.add_argument("--no-subprocess", action="store_true",
                        help="skip the fresh-subprocess comparison")
-    det_p.add_argument("--engine", default=None,
-                       choices=("naive", "fast", "event", "batched"),
+    det_p.add_argument("--engine", default=None, choices=ENGINES,
                        help="reference loop for the comparison "
                             "(env REPRO_ENGINE)")
 
@@ -553,6 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _apply_engine_flags(args)
+    engine = os.environ.get("REPRO_ENGINE", "").strip()
+    if engine and engine not in ENGINES:
+        # Same contract as a bad --engine: one line, exit 2, no traceback.
+        print(f"error: unknown REPRO_ENGINE {engine!r}; expected one of: "
+              f"{', '.join(ENGINES)}", file=sys.stderr)
+        return 2
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

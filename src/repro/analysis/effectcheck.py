@@ -2,8 +2,8 @@
 
 The static effect analysis (:mod:`repro.analysis.semantic.effects`)
 certifies methods like ``next_wake``/``can_accept``/``skip_plan`` as
-window-invariant: the batching engine may call them once per ready
-window, or not at all, without changing simulated state.  Static
+window-invariant: the fast engine calls them only at the cycles it
+visits, or not at all, so they must not change simulated state.  Static
 analysis has documented blind spots (dynamic dispatch, ``setattr``,
 unresolved callees), so this module closes the loop at runtime: with
 ``REPRO_VERIFY_EFFECTS=1`` every certified call is bracketed by
@@ -24,7 +24,7 @@ ENV_ENABLE = "REPRO_VERIFY_EFFECTS"
 ENV_EVERY = "REPRO_VERIFY_EFFECTS_EVERY"
 
 #: Certified window-invariant hooks checked per component kind.
-CHANNEL_HOOKS = ("next_wake", "next_wake_window", "pending", "can_accept")
+CHANNEL_HOOKS = ("next_wake", "pending", "can_accept")
 CORE_HOOKS = ("skip_plan",)
 HIERARCHY_HOOKS = ("can_accept_store",)
 
@@ -60,8 +60,8 @@ def _wrap(obj, method_name: str, state_fn, label: str, every: int) -> None:
             raise EffectViolation(
                 f"{label}.{method_name}() holds a window-invariance "
                 f"certificate but changed det_state() during the call; "
-                f"the static certificate (see batchability.json) is wrong "
-                f"or the mutation is undeclared"
+                f"the static certificate (SEM030) is wrong or the "
+                f"mutation is undeclared"
             )
         return result
 

@@ -705,11 +705,10 @@ class SilentHandlerRule(Rule):
 #: two sets together; lint must not import the semantic layer) plus the
 #: hot helpers reached from them every issue.
 HOT_METHODS = {
-    "step", "step_event", "step_window", "select", "load", "store",
-    "lookup", "tick", "on_command", "on_enqueue", "account_idle",
-    "account_window", "presettle", "_do_dispatch", "_do_commit",
-    "_do_load_issues", "_do_dispatch_window", "_do_commit_window",
-    "_execute", "_build_candidates", "_service_refresh",
+    "step", "select", "load", "store", "lookup", "tick", "on_command",
+    "on_enqueue", "account_idle", "_do_dispatch", "_do_commit",
+    "_do_load_issues", "_execute", "_build_candidates",
+    "_service_refresh",
     # hot helpers on the issue path, not per-cycle hooks themselves
     "_resolve_deps", "try_enqueue", "fast_forward",
 }

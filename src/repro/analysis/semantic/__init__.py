@@ -13,14 +13,9 @@ the passes here understand the *simulator's* semantics across modules:
   verification (SEM020–SEM022): an age/starvation *ordering* on every
   issue path, no direct bank/bus mutation, required overrides present.
 * :mod:`repro.analysis.semantic.effects` — interprocedural
-  effect/purity inference (SEM030–SEM032): certified-pure hooks must
-  stay pure, RNG/IO must not reach per-cycle model code, and
-  ``# repro-batch:`` markers must cite certificates the current
-  analysis still grants.  :mod:`repro.analysis.semantic.batchability`
-  turns the same inference into ``batchability.json`` — a
-  window-invariant / monotone-accumulating / per-cycle-only
-  classification of every hot-path hook and scheduler, the proof
-  surface for the model-batching work.
+  effect/purity inference (SEM030–SEM031): the certified-pure hooks
+  the fast engine's skip decisions rest on must stay pure, and RNG/IO
+  must not reach per-cycle model code.
 * :mod:`repro.analysis.semantic.concurrency` — process-safety
   contract (CONC001–CONC005): no fork-shared mutable globals, no
   fork-captured resources, all shared-artifact writes through
@@ -34,8 +29,7 @@ Shared infrastructure — the module graph loader
 (:mod:`~repro.analysis.semantic.dataflow`) — is reusable by future
 passes.
 
-CLI: ``python -m repro analyze [paths...] [--batchability OUT]
-[--concurrency] [--cache-dir DIR | --no-cache]``.
+CLI: ``python -m repro analyze [paths...] [--concurrency]``.
 """
 
 from repro.analysis.semantic.driver import (  # noqa: F401

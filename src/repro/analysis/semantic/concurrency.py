@@ -167,7 +167,6 @@ SHARED_ARTIFACT_TOKENS = (
     "_entry_path",
     "run_log",
     "segment",
-    "inccache",
 )
 
 #: Bare class names whose instances cross the pool/pickle boundary.

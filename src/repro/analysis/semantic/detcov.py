@@ -71,10 +71,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ("OutOfOrderCore", "_complete"):
         "write-once completion timestamps; divergence surfaces in the "
         "ROB-head/committed det_state words at the next retire",
-    ("OutOfOrderCore", "_next_local"):
-        "conservative lower bound on the next _wake/_load_issue cycle; "
-        "recomputed from those schedules when stale, so it is fully "
-        "derived state (see _wake)",
     ("OutOfOrderCore", "_wake"):
         "completion schedule keyed by cycle; folded indirectly via the "
         "det_state occupancy words and the event-queue length",
@@ -83,10 +79,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ("OutOfOrderCore", "_fu_booked"):
         "FU reservation table derived from the issue schedule; pruned "
         "on a fixed cycle mask",
-    ("OutOfOrderCore", "_wake_hook"):
-        "wiring-time engine callback installed while the core is "
-        "quiescent (see MemoryHierarchy._wake_core); not simulation "
-        "state — it only tells the wake-driven loop to revisit",
     # -- Bank -------------------------------------------------------------
     ("Bank", "row_hits"):
         "row-locality statistic; excluded from the chain by design "
@@ -106,17 +98,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "via the MshrFile det_state words",
     ("MshrFile", "full_rejections"):
         "back-pressure statistic (see peak)",
-    # -- MemorySystem -----------------------------------------------------
-    ("MemorySystem", "_dram_done"):
-        "clock-boundary bookkeeping: a pure function of how far the "
-        "cpu clock has advanced, never of simulated state",
-    ("MemorySystem", "_chan_wake"):
-        "wake-driven clocking bookkeeping: derived from enqueue times "
-        "and channel next_wake(), whose inputs (queues, refresh "
-        "deadlines) are already folded via each channel's det_state",
-    ("MemorySystem", "_chan_settled"):
-        "lazy settlement cursor for idle occupancy samples, which are "
-        "statistics excluded from the chain (see account_idle)",
     # -- MemoryHierarchy --------------------------------------------------
     ("MemoryHierarchy", "_now"):
         "mirror of the system clock installed via bind_clock; the "
@@ -141,9 +122,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
 #: Attribute-name prefixes exempt everywhere, with one shared rationale.
 ALLOWLIST_PREFIXES: dict[str, str] = {
     "_m_": "telemetry instrument handle bound lazily at registration",
-    "_perf": "host-side perf counters (REPRO_PERF): simulator "
-    "observability, deliberately outside det_state and every "
-    "simulated-machine statistic",
 }
 
 #: Class-name substrings never audited (statistics are settled lazily

@@ -38,7 +38,6 @@ SEMANTIC_RULES: dict[str, str] = {
     "SEM030": "certified-pure method (det_state/next_wake/can_accept…) "
               "with an undeclared effect",
     "SEM031": "randomness or io inside per-cycle model code",
-    "SEM032": "batching shortcut not backed by a current certificate",
     "CONC001": "module-global mutable state written by worker-reachable "
                "code (fork-shared state hazard)",
     "CONC002": "fork-captured resource (handle/lock/RNG/lambda/bound "
@@ -165,16 +164,6 @@ def main(argv=None) -> int:
                         help="print every rule id and its hazard description")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also print findings silenced by suppressions")
-    parser.add_argument("--batchability", default=None, metavar="PATH",
-                        help="also write the batchability-certificate "
-                             "report (batchability.json) to PATH")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="shard-wise incremental cache directory "
-                             "(also via REPRO_ANALYZE_CACHE_DIR); warm "
-                             "runs re-analyze only changed packages")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="force whole-program analysis even when a "
-                             "cache directory is configured")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -193,24 +182,7 @@ def main(argv=None) -> int:
     if args.concurrency:
         select = (select or set()) | set(CONCURRENCY_RULES)
 
-    targets = args.paths or _default_target()
-    cached = None
-    if not args.no_cache:
-        from repro.analysis import inccache
-
-        cache_dir = args.cache_dir or inccache.default_cache_dir()
-        if cache_dir is not None:
-            cached = inccache.analyze_paths_cached(
-                targets, select=select, cache_dir=cache_dir
-            )
-    report = cached.report if cached else analyze_paths(targets, select=select)
-
-    if args.batchability:
-        from repro.analysis.semantic.batchability import write_report
-
-        graph = ModuleGraph.load(iter_python_files(targets))
-        write_report(graph, args.batchability)
-
+    report = analyze_paths(args.paths or _default_target(), select=select)
     for finding in report.findings:
         print(finding.render())
     if args.show_suppressed:
@@ -222,11 +194,6 @@ def main(argv=None) -> int:
         f"{report.files} modules, {len(report.findings)} findings, "
         f"{len(report.suppressed)} suppressed"
     )
-    if cached is not None:
-        print(
-            f"cache: {len(cached.hits)} shard hits, "
-            f"{len(cached.misses)} re-analyzed"
-        )
     return 0 if report.ok else 1
 
 

@@ -1,11 +1,11 @@
-"""Interprocedural effect & purity inference (SEM030–SEM032).
+"""Interprocedural effect & purity inference (SEM030–SEM031).
 
-The ROADMAP's next speed lever is batching the per-cycle model calls
-(core dispatch/commit, hierarchy stepping, controller accounting) over
-whole ready-windows — but every such shortcut must preserve the
-bit-identity gate.  Rather than hand-arguing each transform, this pass
-computes a per-method *effect summary* over a small lattice and derives
-machine-checkable **batchability certificates** from it:
+The ``fast`` engine calls a handful of model hooks (``skip_plan``,
+``next_wake``, ``can_accept``, ``can_accept_store``…) to decide which
+cycles it may skip, and relies on those calls changing nothing — every
+such shortcut must preserve the bit-identity gate.  Rather than
+hand-arguing each one, this pass computes a per-method *effect summary*
+over a small lattice and checks the purity contracts against it:
 
 ====================  ====================================================
 PURE                  no writes reachable from ``self`` or foreign
@@ -33,11 +33,11 @@ monotone-accumulating character instead of degrading to unknown.
 From the summary each per-cycle hook is classified (see
 :func:`classify`):
 
-* ``window-invariant`` — no mutation/rng/io: safe to evaluate once per
-  ready-window;
+* ``window-invariant`` — no mutation/rng/io: safe to evaluate at any
+  visited cycle, or not at all;
 * ``monotone-accumulating`` — every mutation is an additive
-  accumulation (``+=``), so a batched call can fold the window in
-  closed form;
+  accumulation (``+=``), so a skipped window can be folded in closed
+  form (as ``account_idle`` does);
 * ``per-cycle-only`` — anything else.
 
 Rules:
@@ -45,14 +45,10 @@ Rules:
 =========  =============================================================
 SEM030     a certified-pure method (``det_state``, ``next_wake``,
            ``skip_plan``, ``can_accept``…) has an undeclared effect —
-           the batching certificate it anchors would be wrong
+           the skip decision it anchors would be wrong
 SEM031     randomness or io inside per-cycle model code (``step``,
            ``select``, dispatch/commit…) — nondeterminism or host
            interaction on the hot path
-SEM032     a ``# repro-batch: cert=<Class.method>`` marker (written
-           without the angle brackets) cites a method whose *current*
-           summary is per-cycle-only (or that does not exist) — the
-           batching shortcut is not backed by a certificate
 =========  =============================================================
 
 Soundness caveats (deliberate, documented): receivers the seeds cannot
@@ -67,7 +63,6 @@ det_state-snapshotting around certified calls on a live run.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
 from repro.analysis.lint import Finding
@@ -85,7 +80,6 @@ from repro.analysis.semantic.modgraph import (
 
 SEM030 = "SEM030"
 SEM031 = "SEM031"
-SEM032 = "SEM032"
 
 #: Certificate classifications (see :func:`classify`).
 WINDOW_INVARIANT = "window-invariant"
@@ -93,22 +87,21 @@ MONOTONE_ACCUMULATING = "monotone-accumulating"
 PER_CYCLE_ONLY = "per-cycle-only"
 
 #: Methods expected PURE/READS wherever they appear on an audited
-#: simulator class: the batching layer may evaluate them once per
-#: ready-window, so any effect invalidates the certificate (SEM030).
+#: simulator class: the fast engine evaluates them only at the cycles
+#: it visits, so any effect would make skipping observable (SEM030).
 CERTIFIED_PURE_METHODS = {
-    "det_state", "det_state_scan", "next_wake", "next_wake_window",
-    "skip_plan", "can_accept", "can_accept_store", "pending",
-    "pre_admissible", "admissible", "oldest", "peek", "wake_cpu",
+    "det_state", "det_state_scan", "next_wake", "skip_plan",
+    "can_accept", "can_accept_store", "pending", "pre_admissible",
+    "admissible", "oldest", "peek",
 }
 
 #: Per-cycle model hooks: called every busy cycle, so randomness or io
 #: inside one poisons determinism/performance on the hot path (SEM031).
 PER_CYCLE_HOOKS = {
-    "step", "step_event", "step_window", "select", "load", "store",
-    "lookup", "tick", "on_command", "on_enqueue", "account_idle",
-    "account_window", "presettle", "_do_dispatch", "_do_commit",
-    "_do_load_issues", "_do_dispatch_window", "_do_commit_window",
-    "_execute", "_build_candidates", "_service_refresh",
+    "step", "select", "load", "store", "lookup", "tick", "on_command",
+    "on_enqueue", "account_idle", "_do_dispatch", "_do_commit",
+    "_do_load_issues", "_execute", "_build_candidates",
+    "_service_refresh",
 }
 
 #: Name-chain parts marking a call as drawing randomness.
@@ -119,10 +112,6 @@ _IO_CALLS = {"open", "print", "input"}
 
 #: Names whose load marks a function cycle-dependent.
 _CLOCK_NAMES = {"now", "cpu_now", "dram_now"}
-
-#: ``# repro-batch: cert=<Class.method>`` (no angle brackets) — a
-#: batching shortcut citing the certificate that justifies it.
-_MARKER_RE = re.compile(r"#\s*repro-batch:\s*cert=([A-Za-z_][\w.]*)")
 
 _MAX_ROUNDS = 10
 
@@ -165,7 +154,7 @@ def classify(eff: FnEffects) -> str:
 
     Cycle-dependence does not demote a method: a pure function of
     ``now`` re-evaluates identically for a fixed argument, which is
-    what window batching needs.
+    what skipping needs.
     """
     if eff.rng or eff.io:
         return PER_CYCLE_ONLY
@@ -217,8 +206,8 @@ class _EffectScan:
 
     def _self_aliases(self) -> dict[str, set[str]]:
         """Local name -> root self attributes it may alias
-        (``wakes = self._chan_wake`` makes ``wakes[ch] = x`` a mutation
-        of ``_chan_wake``).  Roots accumulate across rebinds, so the
+        (``wake = self._wake`` makes ``wake[cycle] = x`` a mutation of
+        ``_wake``).  Roots accumulate across rebinds, so the
         fixpoint is monotone and flow-insensitivity stays conservative.
         """
         aliases: dict[str, set[str]] = {}
@@ -506,16 +495,15 @@ def method_effects(
 
 
 class EffectPass:
-    """SEM030–SEM032: effect/purity contracts on the per-cycle path."""
+    """SEM030–SEM031: effect/purity contracts on the per-cycle path."""
 
-    ids = (SEM030, SEM031, SEM032)
+    ids = (SEM030, SEM031)
 
     def run(self, graph: ModuleGraph) -> list[Finding]:
         table = infer_effects(graph)
         findings: list[Finding] = []
         findings.extend(self._check_certified(graph, table))
         findings.extend(self._check_hooks(graph, table))
-        findings.extend(self._check_markers(graph, table))
         return findings
 
     # ------------------------------------------------------------- SEM030
@@ -542,8 +530,8 @@ class EffectPass:
                         col=func.node.col_offset,
                         message=(
                             f"{cls.name}.{name}() sits on a certified-pure "
-                            f"path but {eff.describe()}; a batching "
-                            f"certificate anchored here would be wrong"
+                            f"path but {eff.describe()}; a skip "
+                            f"decision anchored here would be wrong"
                         ),
                     )
                 )
@@ -585,61 +573,3 @@ class EffectPass:
                     )
                 )
         return findings
-
-    # ------------------------------------------------------------- SEM032
-
-    def _check_markers(
-        self, graph: ModuleGraph, table: dict[str, FnEffects]
-    ) -> list[Finding]:
-        findings: list[Finding] = []
-        for mod_name in sorted(graph.modules):
-            mod = graph.modules[mod_name]
-            for lineno, text in enumerate(mod.source.splitlines(), start=1):
-                match = _MARKER_RE.search(text)
-                if not match:
-                    continue
-                ref = match.group(1)
-                eff = self._resolve_ref(graph, mod, ref, table)
-                if eff is None:
-                    findings.append(
-                        Finding(
-                            rule=SEM032,
-                            path=mod.path,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                f"batching marker cites {ref!r}, which "
-                                f"resolves to no method in the analyzed "
-                                f"program; the shortcut has no certificate"
-                            ),
-                        )
-                    )
-                elif classify(eff) == PER_CYCLE_ONLY:
-                    findings.append(
-                        Finding(
-                            rule=SEM032,
-                            path=mod.path,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                f"batching marker cites {ref!r}, whose "
-                                f"current effect summary is per-cycle-only "
-                                f"({eff.describe()}); the shortcut is not "
-                                f"backed by a certificate"
-                            ),
-                        )
-                    )
-        return findings
-
-    @staticmethod
-    def _resolve_ref(graph, mod, ref, table) -> FnEffects | None:
-        cls_name, _, meth_name = ref.rpartition(".")
-        if not cls_name:
-            return None
-        cls = graph.resolve_class(mod, cls_name)
-        if cls is None:
-            return None
-        func = graph.lookup_method(cls, meth_name)
-        if func is None:
-            return None
-        return table.get(func.qualname, FnEffects())

@@ -1,8 +1,8 @@
 """``repro bench``: a declarative host-performance regression harness.
 
-The engine work (skip windows, the wake-driven loop, batchability) is
-justified by wall clock, and wall clock regresses silently: a refactor
-that doubles event-queue churn still passes every correctness test.
+The engine work (skip windows, quiet-window jumps) is justified by
+wall clock, and wall clock regresses silently: a refactor that doubles
+event-queue churn still passes every correctness test.
 This module pins it the same way determinism is pinned — measure,
 record, compare:
 
@@ -67,35 +67,29 @@ class BenchCell:
     slot: int = 0  # bundle slot for kind="alone"
 
 
-#: The default suite: the engines on the same baseline cell (the
+#: The default suite: both engines on the same baseline cell (the
 #: engine-speedup story), paper-relevant scheduler cells on the default
-#: engine, and single-application alone cells (the weighted-speedup
-#: denominators) where the batched engine's single-active-core windows
-#: engage — the memory-intensive mcf slot of the RFGI bundle is where
-#: the windowed models earn their wall-clock claim.  ``quick`` marks
-#: the CI smoke subset.
+#: engine, and a single-application alone cell (a weighted-speedup
+#: denominator) on both engines — the memory-intensive mcf slot of the
+#: RFGI bundle is where whole-machine quiet windows are longest, so it
+#: is where skipping earns its wall-clock claim.  ``quick`` marks the
+#: CI smoke subset.
 SUITE = (
     BenchCell("fft/fr-fcfs/naive", "fft", "fr-fcfs", "naive", quick=True),
-    BenchCell("fft/fr-fcfs/fast", "fft", "fr-fcfs", "fast"),
-    BenchCell("fft/fr-fcfs/event", "fft", "fr-fcfs", "event", quick=True),
-    BenchCell("fft/fr-fcfs/batched", "fft", "fr-fcfs", "batched"),
-    BenchCell("radix/par-bs/event", "radix", "par-bs", "event", quick=True),
+    BenchCell("fft/fr-fcfs/fast", "fft", "fr-fcfs", "fast", quick=True),
+    BenchCell("radix/par-bs/fast", "radix", "par-bs", "fast", quick=True),
     BenchCell(
-        "radix/casras-crit/event", "radix", "casras-crit", "event",
+        "radix/casras-crit/fast", "radix", "casras-crit", "fast",
         cbp=64, quick=True,
     ),
-    BenchCell("ocean/tcm/event", "ocean", "tcm", "event"),
-    BenchCell("mg/crit-casras/event", "mg", "crit-casras", "event", cbp=64),
+    BenchCell("ocean/tcm/fast", "ocean", "tcm", "fast"),
+    BenchCell("mg/crit-casras/fast", "mg", "crit-casras", "fast", cbp=64),
     BenchCell(
         "RFGI.mcf-alone/par-bs/naive", "RFGI", "par-bs", "naive",
         kind="alone", slot=1, quick=True,
     ),
     BenchCell(
-        "RFGI.mcf-alone/par-bs/event", "RFGI", "par-bs", "event",
-        kind="alone", slot=1,
-    ),
-    BenchCell(
-        "RFGI.mcf-alone/par-bs/batched", "RFGI", "par-bs", "batched",
+        "RFGI.mcf-alone/par-bs/fast", "RFGI", "par-bs", "fast",
         kind="alone", slot=1, quick=True,
     ),
 )

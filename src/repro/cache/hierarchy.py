@@ -122,15 +122,9 @@ class MemoryHierarchy:
         # None during construction/prewarm, so those never record.
         self.trace = None
 
-    def _trace_cache(self, kind: str, core: int, line_addr: int, now=None) -> None:
-        # Core-phase callers must pass their explicit ``now``: the engine
-        # clock behind _now() only advances at the engine loop tail, so it
-        # is stale inside a windowed core step.  Event-phase callers may
-        # rely on the fallback.
+    def _trace_cache(self, kind: str, core: int, line_addr: int) -> None:
         if self.trace is not None:
-            self.trace.cache_event(
-                self._now() if now is None else now, kind, core, line_addr
-            )
+            self.trace.cache_event(self._now(), kind, core, line_addr)
 
     # ------------------------------------------------------------------ loads
 
@@ -159,7 +153,7 @@ class MemoryHierarchy:
                 handle.txn = l2_entry.txn
                 handle.went_to_dram = True
             if critical:
-                self._bump_criticality(core, line32, magnitude, now)
+                self._bump_criticality(line32, magnitude)
             return handle
         entry = mshr.allocate(line32)
         if entry is None:
@@ -196,7 +190,7 @@ class MemoryHierarchy:
                 l1.set_line_dirty(line)
                 return
             # Upgrade S -> M: invalidate remote sharers.
-            self._invalidate_remote(core, line32, now)
+            self._invalidate_remote(core, line32)
             l1.set_line_state(line, "M")
             l1.set_line_dirty(line)
             return
@@ -255,14 +249,9 @@ class MemoryHierarchy:
         if entry is not None:
             entry.waiters.append((core, line32, is_rfo))
             if critical and entry.txn is not None:
-                txn = entry.txn
-                if not txn.critical:
-                    # Batched engine: settle the channel's open gap before
-                    # the flag flips (no-op in the per-cycle engines).
-                    self.memsys.presettle(txn, now, event_phase=True)
-                txn.critical = True
-                if magnitude > txn.magnitude:
-                    txn.magnitude = magnitude
+                entry.txn.critical = True
+                if magnitude > entry.txn.magnitude:
+                    entry.txn.magnitude = magnitude
             return
         entry = self.l2_mshr.allocate(line64)
         if entry is None:
@@ -285,22 +274,12 @@ class MemoryHierarchy:
         self._mark_handles_dram(core, line32, txn)
         self._enqueue_with_retry(txn)
 
-    def _bump_criticality(self, core, line32, magnitude, now) -> None:
-        """A critical load merged into an outstanding miss: raise urgency.
-
-        Reached only from :meth:`load`, i.e. from the core phase of the
-        cycle (after the memory phase already ran).  ``now`` is the
-        caller's explicit cycle — the engine clock is stale here when the
-        core is stepping inside a window.
-        """
+    def _bump_criticality(self, line32, magnitude) -> None:
+        """A critical load merged into an outstanding miss: raise urgency."""
         line64 = self.l2.line_addr(line32)
         entry = self.l2_mshr.get(line64)
         if entry is not None and entry.txn is not None:
             txn = entry.txn
-            if not txn.critical:
-                # Batched engine: settle the channel's open gap before the
-                # flag flips (no-op in the per-cycle engines).
-                self.memsys.presettle(txn, now, event_phase=False)
             txn.critical = True
             if magnitude > txn.magnitude:
                 txn.magnitude = magnitude
@@ -410,7 +389,7 @@ class MemoryHierarchy:
                     self._trace_cache("inval", other, line32)
         return penalty
 
-    def _invalidate_remote(self, core, line32, now=None) -> None:
+    def _invalidate_remote(self, core, line32) -> None:
         sharers = self._dir.get(line32)
         if not sharers:
             return
@@ -424,7 +403,7 @@ class MemoryHierarchy:
                     if l2line is not None:
                         self.l2.set_line_dirty(l2line)
                 self.stats.invalidations += 1
-                self._trace_cache("inval", other, line32, now)
+                self._trace_cache("inval", other, line32)
             sharers.discard(other)
 
     # ------------------------------------------------------------- evictions

@@ -26,8 +26,6 @@ from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE
 from repro.core.provider import CriticalityProvider, NaiveForwardingProvider
 
 _UNKNOWN = -1
-# Sentinel for "no locally scheduled wake/issue pending" (see _next_local).
-_FAR = 1 << 62
 
 # Dispatch classes precomputed per trace index (_dclass): the per-cycle
 # dispatch gate only needs "load / store / mispredicted branch / other",
@@ -113,7 +111,6 @@ class OutOfOrderCore:
         self.config = config
         self.trace = trace
         self.hierarchy = hierarchy
-        self.events = events
         self.provider = provider if provider is not None else CriticalityProvider()
         if isinstance(self.provider, NaiveForwardingProvider) and events is not None:
             self.provider.bind_defer(events.schedule)
@@ -172,11 +169,6 @@ class OutOfOrderCore:
             # repro-lint: disable=EXC002 slotted stand-in traces need no cache
             except AttributeError:
                 pass
-        # Conservative lower bound on the earliest cycle in _wake /
-        # _load_issue.  Inserts lower it eagerly; consumers recompute the
-        # exact minimum when the bound goes stale (<= current cycle).
-        # Purely derived state — never observable in results.
-        self._next_local = 0
         # Hot-path copies of per-run-constant configuration (attribute
         # loads off ``self`` are cheaper than two-level ``config`` reads
         # in the per-cycle stages).
@@ -201,10 +193,6 @@ class OutOfOrderCore:
         # Duck-typed providers without next_tick_cycle have unknown tick
         # semantics; such cores are never skipped (skip_plan bails).
         self._next_tick = getattr(self.provider, "next_tick_cycle", None)
-        # Wake subscription (event engine): installed while the core is
-        # quiescent; called whenever ``skip_until`` is cleared so the
-        # engine learns about external wakes without scanning cores.
-        self._wake_hook = None
         # Event-trace recorder (attached by System under REPRO_TRACE=1).
         self.tracer = None
 
@@ -230,9 +218,6 @@ class OutOfOrderCore:
     def _complete_at(self, slot: _Slot, cycle: int) -> None:
         """Mark ``slot`` complete at ``cycle`` and wake its dependents."""
         self.skip_until = 0  # completions can unblock commit/dispatch
-        hook = self._wake_hook
-        if hook is not None:
-            hook(self)
         self._complete[slot.idx] = cycle
         if slot is self._fetch_blocker:
             self._fetch_blocker = None
@@ -253,13 +238,9 @@ class OutOfOrderCore:
         issue = self._book_fu(itype, earliest)
         if itype == LOAD:
             self._load_issue.setdefault(issue, []).append(slot)
-            if issue < self._next_local:
-                self._next_local = issue
         else:
             done = issue + self._latency[itype]
             self._wake.setdefault(done, []).append(slot)
-            if done < self._next_local:
-                self._next_local = done
 
     def _on_load_done(self, slot: _Slot, cycle: int) -> None:
         self._complete_at(slot, cycle)
@@ -290,8 +271,6 @@ class OutOfOrderCore:
             if handle is None:
                 # L1 MSHRs full: replay next cycle through a fresh port slot.
                 retry = self._book_fu(LOAD, now + 1)
-                if retry < self._next_local:
-                    self._next_local = retry
                 bucket = load_issue.get(retry)
                 if bucket is None:
                     # repro-lint: disable=PERF001 fresh owned bucket, first retry only
@@ -465,288 +444,6 @@ class OutOfOrderCore:
         if self._ptr >= self._n and not self._rob_len:
             self.done = True
 
-    # ------------------------------------------------------ windowed stepping
-    #
-    # The batched engine advances a core over spans of cycles in one call
-    # instead of one step() per cycle.  Soundness rests on the batchability
-    # certificates (DESIGN.md section 5.8): during a span in which no global
-    # event runs and no other core steps, the only state this core observes
-    # changing is its own — local wakes (_wake/_load_issue), which the span
-    # is clamped to, and global events the span's own cycles schedule, which
-    # are re-checked after every consumed cycle.  Within those clamps each
-    # windowed stage replays the naive per-cycle stage exactly, so every
-    # counter, provider callback, and tracer record lands on the same
-    # virtual cycle as in the per-cycle loop.
-
-    def step_window(self, now: int, limit: int) -> int:
-        """Advance from cycle ``now`` toward ``limit``; return cycles consumed.
-
-        The caller (the batched engine) guarantees that over ``[now, limit)``
-        no global event is due, no DRAM edge needs stepping, and no other
-        core is active.  At least one cycle is always consumed.
-        """
-        events = self.events
-        n = self._n
-        wake_sched = self._wake
-        load_issue = self._load_issue
-        c = now
-        while True:
-            # Exact earliest local wake/load-issue, recomputed when the
-            # eager lower bound has gone stale.
-            nl = self._next_local
-            if nl <= c:
-                nl = _FAR
-                if wake_sched:
-                    nl = min(wake_sched)
-                if load_issue:
-                    m = min(load_issue)
-                    if m < nl:
-                        nl = m
-                self._next_local = nl
-            if nl <= c:
-                # Completions or load issues due this cycle: full step.
-                self.step(c)
-                c += 1
-            else:
-                end = nl if nl < limit else limit
-                consumed = 0
-                blocker = self._fetch_blocker
-                resume = self._fetch_resume
-                rob_len = self._rob_len
-                ptr = self._ptr
-                if blocker is not None or c < resume or ptr >= n:
-                    # Dispatch provably inert through ``end``: commit-only
-                    # window.  The stall flag flips at fetch_resume, so the
-                    # span must not straddle it.
-                    if blocker is None and c < resume and resume < end:
-                        end = resume
-                    if rob_len:
-                        stalled = blocker is not None or c < resume
-                        consumed = self._do_commit_window(c, end, stalled)
-                elif rob_len:
-                    head = self._rob[(ptr - rob_len) % self._rob_entries]
-                    hdone = self._complete[head.idx]
-                    if hdone == _UNKNOWN or hdone >= end:
-                        consumed = self._do_dispatch_window(c, end)
-                    elif hdone > c:
-                        # Head completes mid-span: dispatch-only until then.
-                        consumed = self._do_dispatch_window(c, hdone)
-                    # else: commit can proceed at ``c`` too — mixed cycle.
-                else:
-                    consumed = self._do_dispatch_window(c, end)
-                if consumed:
-                    c += consumed
-                else:
-                    self.step(c)
-                    c += 1
-            if self.done or c >= limit:
-                break
-            # Cycles just consumed may have scheduled global events
-            # (hierarchy accesses, store retries, provider defers); they
-            # bound how much further this window may reach.
-            if events is not None:
-                ev = events.next_cycle()
-                if ev is not None and ev < limit:
-                    limit = ev
-                    if c >= limit:
-                        break
-            # Bulk-account provably quiet stretches without returning to
-            # the engine loop (same contract as begin_skip/flush_skip).
-            if self.plan_defer:
-                self.plan_defer -= 1
-                continue
-            plan = self.skip_plan(c - 1)
-            if plan is None:
-                self.plan_defer = 3
-                continue
-            wake, deltas = plan
-            target = limit if wake is None else (wake if wake < limit else limit)
-            if target > c:
-                # repro-batch: cert=OutOfOrderCore.skip_plan
-                self._account_quiet(deltas, target - c)
-                self.stats.cycles = target
-                c = target
-                if c >= limit:
-                    break
-        return c - now
-
-    def _do_commit_window(self, now: int, end: int, stalled: bool) -> int:
-        """Run commit-only cycles over ``[now, end)``; return cycles consumed.
-
-        Caller guarantees dispatch cannot act over the consumed span and no
-        local wakes or load issues fall inside it.  Each consumed cycle
-        replays the naive cycle exactly: the commit stage (including
-        blocked-head accounting), the dispatch stall counter when
-        ``stalled``, and the provider tick.  Stops after the first cycle
-        that retires nothing — the engine's skip path handles the rest.
-        """
-        stats = self.stats
-        rob = self._rob
-        cap = self._rob_entries
-        complete = self._complete
-        provider = self.provider
-        hierarchy = self.hierarchy
-        core_id = self.core_id
-        tracer = self.tracer
-        width = self._commit_width
-        events = self.events
-        rob_len = self._rob_len
-        first = self._ptr - rob_len
-        c = now
-        while c < end:
-            committed = 0
-            while committed < width and rob_len:
-                head = rob[first % cap]
-                done_cycle = complete[head.idx]
-                if done_cycle == _UNKNOWN or done_cycle > c:
-                    if head.itype == LOAD:
-                        dram_bound = (
-                            head.handle is not None and head.handle.went_to_dram
-                        )
-                        if head.blocking_start < 0 and dram_bound:
-                            head.blocking_start = c
-                            stats.blocking_loads += 1
-                            stats.blocking_dram_loads += 1
-                            provider.on_block_start(head.pc, c, head.handle.txn)
-                        stats.blocked_cycles += 1
-                        if dram_bound:
-                            stats.blocked_dram_cycles += 1
-                    break
-                itype = head.itype
-                if itype == STORE and not hierarchy.can_accept_store(core_id):
-                    stats.sq_full_cycles += 1
-                    break
-                if itype == LOAD:
-                    if head.blocking_start >= 0:
-                        stall = c - head.blocking_start
-                        stats.total_block_stall += stall
-                        if tracer is not None:
-                            tracer.block_episode(
-                                head.blocking_start, core_id, head.pc, stall
-                            )
-                        provider.on_blocked_commit(head.pc, stall, c)
-                    provider.on_load_consumers(head.pc, head.consumers)
-                    self._lq_used -= 1
-                elif itype == STORE:
-                    self._sq_used -= 1
-                    hierarchy.store(core_id, head.addr, c)
-                rob[first % cap] = None
-                first += 1
-                rob_len -= 1
-                committed += 1
-                stats.committed += 1
-            if stalled:
-                stats.dispatch_stall_cycles += 1
-            provider.tick(c)
-            c += 1
-            if self._ptr >= self._n and not rob_len:
-                self.done = True
-                break
-            if committed == 0:
-                # Commit went quiet: hand the remaining span back so the
-                # engine's skip path can bulk-account it.
-                break
-            # Stores/provider ticks this cycle may have scheduled events.
-            if events is not None:
-                ev = events.next_cycle()
-                if ev is not None and ev < end:
-                    end = ev
-        self._rob_len = rob_len
-        self.stats.cycles = c
-        return c - now
-
-    def _do_dispatch_window(self, now: int, end: int) -> int:
-        """Run dispatch-only cycles over ``[now, end)``; return cycles consumed.
-
-        Caller guarantees the ROB head (if any) cannot commit before
-        ``end`` and dispatch is not fetch-stalled.  Each consumed cycle
-        replays the naive cycle exactly: the commit stage reduced to its
-        blocked-head accounting, then dispatch, then the provider tick.
-        Newly scheduled local wakes shrink the span as they appear.
-        """
-        stats = self.stats
-        trace = self.trace
-        rob = self._rob
-        cap = self._rob_entries
-        complete = self._complete
-        provider = self.provider
-        fetch_width = self._fetch_width
-        itypes = trace.itypes
-        dclass = self._dclass
-        events = self.events
-        n = self._n
-        ptr = self._ptr
-        rob_len = self._rob_len
-        first = ptr - rob_len
-        c = now
-        while c < end:
-            if rob_len:
-                head = rob[first % cap]
-                hdone = complete[head.idx]
-                if hdone != _UNKNOWN and hdone <= c:
-                    break  # head became committable: window over
-                if head.itype == LOAD:
-                    dram_bound = (
-                        head.handle is not None and head.handle.went_to_dram
-                    )
-                    if head.blocking_start < 0 and dram_bound:
-                        head.blocking_start = c
-                        stats.blocking_loads += 1
-                        stats.blocking_dram_loads += 1
-                        provider.on_block_start(head.pc, c, head.handle.txn)
-                    stats.blocked_cycles += 1
-                    if dram_bound:
-                        stats.blocked_dram_cycles += 1
-            dispatched = 0
-            counted_lq_full = False
-            while dispatched < fetch_width and ptr < n:
-                if rob_len >= cap:
-                    stats.rob_full_cycles += 1
-                    break
-                cls = dclass[ptr]
-                if cls == _DC_LOAD and self._lq_used >= self._lq_entries:
-                    if not counted_lq_full:
-                        stats.lq_full_cycles += 1
-                        counted_lq_full = True
-                    break
-                if cls == _DC_STORE and self._sq_used >= self._sq_entries:
-                    break
-                slot = _Slot(ptr, itypes[ptr], trace.pcs[ptr], trace.addrs[ptr], c)
-                self._resolve_deps(slot, trace.dep1[ptr], trace.dep2[ptr], first)
-                rob[ptr % cap] = slot
-                rob_len += 1
-                if cls == _DC_LOAD:
-                    self._lq_used += 1
-                elif cls == _DC_STORE:
-                    self._sq_used += 1
-                if slot.deps_pending == 0:
-                    self._schedule_execute(slot, slot.ready_base)
-                ptr += 1
-                dispatched += 1
-                if cls == _DC_MISP_BRANCH:
-                    slot.is_misp_branch = True
-                    self._fetch_blocker = slot
-                    break
-            provider.tick(c)
-            c += 1
-            if self._fetch_blocker is not None or dispatched == 0:
-                # Fetch just stalled, or dispatch went quiet: hand the rest
-                # of the span back to the engine's skip path.
-                break
-            # Clamp to wakes scheduled by this cycle's own dispatches and
-            # to events scheduled by the provider tick.
-            nl = self._next_local
-            if nl < end:
-                end = nl
-            if events is not None:
-                ev = events.next_cycle()
-                if ev is not None and ev < end:
-                    end = ev
-        self._ptr = ptr
-        self._rob_len = rob_len
-        self.stats.cycles = c
-        return c - now
-
     # -------------------------------------------------------- cycle skipping
 
     def skip_plan(self, now: int):
@@ -845,9 +542,6 @@ class OutOfOrderCore:
     def wake_skip(self) -> None:
         """External state change: the core must be stepped again."""
         self.skip_until = 0
-        hook = self._wake_hook
-        if hook is not None:
-            hook(self)
 
     def flush_skip(self, now: int) -> None:
         """Settle the stat increments owed for cycles skipped before ``now``."""
@@ -857,11 +551,6 @@ class OutOfOrderCore:
         skipped = now - self._quiet_from
         if deltas is None or skipped <= 0:
             return
-        self._account_quiet(deltas, skipped)
-        self.stats.cycles = now
-
-    def _account_quiet(self, deltas, skipped: int) -> None:
-        """Apply ``skipped`` cycles' worth of a skip_plan deltas tuple."""
         blocked, blocked_dram, sq_full, stall, rob_full, lq_full = deltas
         stats = self.stats
         if blocked:
@@ -876,6 +565,7 @@ class OutOfOrderCore:
             stats.rob_full_cycles += skipped
         if lq_full:
             stats.lq_full_cycles += skipped
+        stats.cycles = now
 
     def _prune_fu_bookings(self, now: int) -> None:
         """Drop functional-unit reservations for cycles already past."""

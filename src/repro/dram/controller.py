@@ -181,80 +181,9 @@ class ChannelController:
             return dram_now + 1
         return max(min(self._next_refresh), dram_now + 1)
 
-    def next_wake_window(self, dram_now: int) -> int:
-        """Timing-aware :meth:`next_wake` for the batched engine.
-
-        With only reads queued, no write drain in progress, and no refresh
-        due, no command can legally issue before the earliest *bank-ready*
-        cycle among the queued reads: a row hit waits for ``cas_ready``, a
-        closed bank for ``act_ready``, a row conflict for ``pre_ready``.
-        Rank-level constraints (``cas_issue_ok``/``can_activate``/tFAW) can
-        only delay issue further, so ignoring them keeps the bound a sound
-        lower one — waking early merely replays an idle cycle.  The bound
-        is capped at the earliest per-rank refresh deadline.  Every skipped
-        cycle provably generates zero candidates and leaves det_state
-        untouched; the per-cycle occupancy statistics it owes are settled
-        by :meth:`account_window`.
-
-        Write drain and refresh fall back to per-edge stepping: the drain
-        hysteresis flips ``_draining`` (det_state) cycle by cycle, and a
-        refresh sequence issues multi-cycle command trains.
-        """
-        if self.write_queue or self._draining or any(self._refresh_due):
-            return self.next_wake(dram_now)
-        reads = self.read_queue
-        if not reads:
-            return max(min(self._next_refresh), dram_now + 1)
-        banks = self.banks
-        best = min(self._next_refresh)
-        for txn in reads:
-            loc = txn.loc
-            bank = banks[loc.rank][loc.bank]
-            open_row = bank.open_row
-            if open_row == loc.row:
-                ready = bank.cas_ready
-            elif open_row is None:
-                ready = bank.act_ready
-            else:
-                ready = bank.pre_ready
-            if ready < best:
-                best = ready
-                if best <= dram_now + 1:
-                    return dram_now + 1
-        return best if best > dram_now + 1 else dram_now + 1
-
     def account_idle(self, cycles: int) -> None:
         """Record ``cycles`` empty-queue DRAM cycles skipped by fast-forward."""
         self.stats.queue_samples += cycles
-
-    def account_window(self, cycles: int) -> None:
-        """Settle ``cycles`` skipped DRAM cycles whose queues were constant.
-
-        The batched engine's windows (:meth:`next_wake_window`) leave a
-        channel unstepped while transactions are queued but no command can
-        legally issue.  The per-cycle statistics those cycles owe —
-        occupancy and criticality-presence counters — are settled here in
-        bulk against the constant queue, exactly as :meth:`step` would
-        have accumulated them one cycle at a time.
-        """
-        if cycles <= 0:
-            return
-        stats = self.stats
-        reads = self.read_queue
-        nreads = len(reads)
-        stats.queue_occupancy_sum += nreads * cycles
-        stats.queue_samples += cycles
-        if nreads:
-            ncrit = 0
-            for txn in reads:
-                if txn.critical:
-                    ncrit += 1
-                    if ncrit > 1:
-                        break
-            if ncrit >= 1:
-                stats.critical_queue_cycles += cycles
-            if ncrit > 1:
-                stats.multi_critical_queue_cycles += cycles
 
     def det_state(self) -> list[int]:
         """Architectural state words for the determinism hash-chain.
@@ -539,25 +468,6 @@ class MemorySystem:
             for c in range(config.channels)
         ]
         self._ratio = config.cpu_ratio
-        # Wake-driven clocking (the event engine, see repro.sim.system):
-        # per channel, the DRAM cycle at which it must next be stepped and
-        # the DRAM cycle *after* the last one whose idle occupancy sample
-        # has been accounted.  ``try_enqueue`` keeps the wake current in
-        # every engine, so the bookkeeping never needs re-wiring when the
-        # loop implementation is switched mid-experiment.
-        self._chan_wake = [0] * config.channels
-        self._chan_settled = [0] * config.channels
-        # Batched-engine mode flag (set by System._run_batched before any
-        # stepping): gaps between channel wakes may then span cycles with
-        # *queued* work, so lazily settled samples must go through
-        # account_window (occupancy + criticality presence with the
-        # constant queue) instead of account_idle, and queue mutations
-        # must pre-settle the open gap first (try_enqueue / presettle).
-        self._batched = False
-        # Host-side perf counters (REPRO_PERF=1): set by System when
-        # enabled, else None.  Host observability only — never part of
-        # det_state or any simulated-machine statistic.
-        self._perf = None
 
     # -- request path -----------------------------------------------------------
 
@@ -566,54 +476,11 @@ class MemorySystem:
 
     def try_enqueue(self, txn: Transaction, cpu_now: int) -> bool:
         """Queue ``txn`` if its channel has room; False => caller retries."""
-        ch = txn.loc.channel
-        channel = self.channels[ch]
+        channel = self.channels[txn.loc.channel]
         if not channel.can_accept(txn.is_write):
             return False
-        # Wake registration: the channel becomes serviceable at the first
-        # DRAM edge at or after ``cpu_now``.  Enqueues only happen in the
-        # event phase — before :meth:`step_event` for the same cycle — so
-        # an enqueue landing exactly on an edge is serviced at that edge,
-        # matching the per-cycle loops.
-        wake = (cpu_now + self._ratio - 1) // self._ratio
-        if self._batched:
-            # Settle the open gap with the queue as it was: every edge
-            # before ``wake`` sampled the pre-enqueue occupancy.
-            gap = wake - self._chan_settled[ch]
-            if gap > 0:
-                channel.account_window(gap)
-                self._chan_settled[ch] = wake
         channel.enqueue(txn, cpu_now // self._ratio)
-        if wake < self._chan_wake[ch]:
-            self._chan_wake[ch] = wake
         return True
-
-    def presettle(self, txn: Transaction, cpu_now: int, event_phase: bool) -> None:
-        """Settle a channel's open gap before ``txn``'s flags mutate.
-
-        The batched engine settles skipped DRAM cycles lazily with the
-        queue state current *at settlement time*, so a criticality bump on
-        a queued transaction would otherwise be visible retroactively in
-        the lazily-settled criticality counters.  Settling the bumped
-        transaction's channel first — up to the last DRAM edge that
-        sampled the old flags — keeps them bit-identical to the per-cycle
-        loops.  The boundary depends on the caller's phase: a DRAM edge
-        shares its CPU cycle with event-phase work that *precedes* it (the
-        edge samples the new flags) but with core-phase work that
-        *follows* it (the edge already sampled the old flags).
-        """
-        if not self._batched:
-            return
-        ratio = self._ratio
-        if event_phase:
-            boundary = -(-cpu_now // ratio)
-        else:
-            boundary = cpu_now // ratio + 1
-        ch = txn.loc.channel
-        gap = boundary - self._chan_settled[ch]
-        if gap > 0:
-            self.channels[ch].account_window(gap)
-            self._chan_settled[ch] = boundary
 
     # -- clocking ----------------------------------------------------------------
 
@@ -644,7 +511,7 @@ class MemorySystem:
 
     # -- cycle skipping ----------------------------------------------------------
 
-    def next_wake_cpu(self, cpu_now: int) -> int:
+    def next_wake_cycle(self, cpu_now: int) -> int:
         """Earliest CPU cycle > ``cpu_now`` at which a controller must step."""
         ratio = self._ratio
         dram_now = cpu_now // ratio
@@ -662,7 +529,7 @@ class MemorySystem:
         """Account for the DRAM clock edges inside ``[start_cpu, end_cpu)``.
 
         Fast-forward windows never contain an edge with queued work (see
-        :meth:`next_wake_cpu`), so the only bookkeeping the skipped edges
+        :meth:`next_wake_cycle`), so the only bookkeeping the skipped edges
         would have done is sampling an occupancy of zero.
         """
         ratio = self._ratio
@@ -671,100 +538,3 @@ class MemorySystem:
             return
         for channel in self.channels:
             channel.account_idle(edges)
-
-    # -- wake-driven clocking (event engine) -------------------------------------
-
-    def step_event(self, cpu_now: int) -> None:
-        """Like :meth:`step`, but only steps channels that are *due*.
-
-        A channel is due when its registered wake (``_chan_wake``, kept
-        current by :meth:`try_enqueue` and by ``next_wake`` after every
-        step) has arrived.  A non-due channel has empty queues, no refresh
-        in flight, and every per-rank refresh deadline in the future, so
-        the step it skips would have done exactly one thing: sample an
-        occupancy of zero (``queue_samples += 1``).  That sample is
-        settled lazily — :meth:`ChannelController.account_idle` on the
-        next step or at :meth:`settle_idle` — which is bit-identical
-        because occupancy accumulators are statistics outside the
-        determinism chain and deliberately never sampled by telemetry
-        (see :meth:`ChannelController.register_metrics`).
-        """
-        if cpu_now % self._ratio:
-            return
-        dram_now = cpu_now // self._ratio
-        wakes = self._chan_wake
-        settled = self._chan_settled
-        perf = self._perf
-        for i, channel in enumerate(self.channels):
-            if wakes[i] > dram_now:
-                continue
-            gap = dram_now - settled[i]
-            if gap > 0:
-                channel.account_idle(gap)
-            channel.step(dram_now)
-            settled[i] = dram_now + 1
-            wakes[i] = channel.next_wake(dram_now)
-            if perf is not None:
-                perf.chan_wake_republishes += 1
-
-    def step_window(self, cpu_now: int) -> None:
-        """Batched-engine analog of :meth:`step_event`.
-
-        Identical structure, but wakes are timing-aware
-        (:meth:`ChannelController.next_wake_window`): a channel may sleep
-        across cycles with *queued* work when no command can legally issue
-        before its registered wake.  Such gaps owe per-cycle occupancy and
-        criticality statistics, settled in bulk by ``account_window``
-        against the queue that was constant throughout the gap (enqueues
-        and criticality bumps pre-settle, see :meth:`try_enqueue` /
-        :meth:`presettle`).
-        """
-        if cpu_now % self._ratio:
-            return
-        dram_now = cpu_now // self._ratio
-        wakes = self._chan_wake
-        settled = self._chan_settled
-        perf = self._perf
-        for i, channel in enumerate(self.channels):
-            if wakes[i] > dram_now:
-                continue
-            gap = dram_now - settled[i]
-            if gap > 0:
-                # repro-batch: cert=ChannelController.account_window
-                channel.account_window(gap)
-            channel.step(dram_now)
-            settled[i] = dram_now + 1
-            # repro-batch: cert=ChannelController.next_wake_window
-            wakes[i] = channel.next_wake_window(dram_now)
-            if perf is not None:
-                perf.chan_wake_republishes += 1
-
-    def wake_cpu(self, cpu_now: int) -> int:
-        """O(channels) equivalent of :meth:`next_wake_cpu` for the event
-        engine: earliest CPU cycle > ``cpu_now`` at which stepping a
-        channel matters, read from the registered wakes instead of
-        re-deriving every channel's ``next_wake``."""
-        ratio = self._ratio
-        next_edge = (cpu_now // ratio + 1) * ratio
-        wake = min(self._chan_wake) * ratio
-        return wake if wake > next_edge else next_edge
-
-    def settle_idle(self, cpu_end: int) -> None:
-        """Account every not-yet-settled idle edge before ``cpu_end``.
-
-        The per-cycle loops sample channel occupancy at every DRAM edge in
-        ``[0, cpu_end)``; the event engine defers idle samples, so the end
-        of the run (or any point statistics are read) must settle the
-        tail.
-        """
-        edge_count = (cpu_end - 1) // self._ratio + 1 if cpu_end > 0 else 0
-        settled = self._chan_settled
-        batched = self._batched
-        for i, channel in enumerate(self.channels):
-            gap = edge_count - settled[i]
-            if gap > 0:
-                if batched:
-                    channel.account_window(gap)
-                else:
-                    channel.account_idle(gap)
-                settled[i] = edge_count

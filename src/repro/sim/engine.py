@@ -14,7 +14,7 @@ invalidates every cached result automatically.  The telemetry
 configuration fingerprint (sampling interval, trace on/off and capacity)
 is part of the key too: a run cached without sampling must not satisfy a
 request that expects time-series on the result.  Since every loop
-implementation (naive, fast, event) is bit-identical, the engine
+implementation (naive, fast) is bit-identical, the engine
 selection (``RunSpec.engine`` / ``REPRO_ENGINE``) and the skip setting
 are deliberately *not* part of the key — and neither is the telemetry
 *streaming* configuration (``REPRO_STREAM_DIR`` / ``RunSpec.stream_dir``),
@@ -73,9 +73,8 @@ class RunSpec:
     ``cache-replay`` marker manifest instead, so ``repro watch`` can
     explain why no stream is coming.
 
-    ``engine`` pins the loop implementation (``naive``/``fast``/
-    ``event``) for this run; ``None`` defers to ``REPRO_ENGINE`` and
-    the default.  Like the skip setting, it is *not* part of the cache
+    ``engine`` pins the loop implementation (``naive``/``fast``) for
+    this run; ``None`` defers to ``REPRO_ENGINE`` and the default.  Like the skip setting, it is *not* part of the cache
     key: all engines produce bit-identical results, so they share one
     cache slot.
     """
@@ -439,12 +438,12 @@ def run_many(
 
 
 def verify_determinism(spec: RunSpec, subprocess: bool = True) -> dict:
-    """Run ``spec`` on every engine and compare determinism hash-chains.
+    """Run ``spec`` on both engines and compare determinism hash-chains.
 
     The reference run uses the spec's engine (default: the resolved
-    session engine, normally ``event``) in-process; it is compared
-    against (a) each of the other loop implementations in-process and
-    (b) the reference engine in a freshly forked worker process.
+    session engine, normally ``fast``) in-process; it is compared
+    against (a) the other loop implementation in-process and (b) the
+    reference engine in a freshly forked worker process.
     Returns a report dict: ``ok``, the reference ``chain`` digest, and a
     ``runs`` list with each comparison's verdict and — on divergence —
     the earliest diverging checkpoint from
@@ -458,9 +457,9 @@ def verify_determinism(spec: RunSpec, subprocess: bool = True) -> dict:
     reference = run_one(spec)
     comparisons: list[tuple[str, SimResult]] = []
 
-    # REPRO_NO_SKIP would force every comparison run back to the naive
+    # REPRO_NO_SKIP would force the comparison run back to the naive
     # loop, making the cross-engine check vacuous; lift it while the
-    # explicitly-pinned engines run.
+    # explicitly-pinned engine runs.
     saved = os.environ.pop("REPRO_NO_SKIP", None)
     try:
         from repro.sim.system import ENGINES
@@ -468,8 +467,6 @@ def verify_determinism(spec: RunSpec, subprocess: bool = True) -> dict:
         names = {
             "naive": "naive cycle-by-cycle loop",
             "fast": "fast-forwarding loop",
-            "event": "event (wake-heap) loop",
-            "batched": "batched (windowed) loop",
         }
         for engine in ENGINES:
             if engine == ref_engine:

@@ -25,8 +25,8 @@ class EventQueue:
     def run_due(self, now: int) -> int:
         """Fire every event scheduled at or before ``now``; returns count.
 
-        Reentrancy contract (the wake-driven engine depends on this —
-        see ``tests/test_events.py``):
+        Reentrancy contract (both engine loops depend on this — see
+        ``tests/test_events.py``):
 
         * A callback that schedules another event at ``cycle <= now``
           fires **within the same** ``run_due`` call, after everything

@@ -6,8 +6,8 @@ Two observation modes over the same workload:
   :mod:`cProfile` and fold the per-function ``tottime`` into a
   per-component report (core model, DRAM, caches, scheduler, telemetry,
   determinism chain, engine loop), plus the top-N functions.  This is
-  the measurement the event-engine work is gated on — "where do the
-  cycles go" is answered by data, not assertion.
+  the measurement engine work is gated on — "where do the cycles go"
+  is answered by data, not assertion.
 * **engine comparison** (``--engines all`` or ``--engines A,B,...``):
   run the same workload once per engine *without* the profiler and
   report wall clock, cycles/second, and speedup over the naive
@@ -17,7 +17,7 @@ Two observation modes over the same workload:
   comparison doubles as a cheap cross-engine identity check.
 * **perf counters** (``--counters``): run once with ``REPRO_PERF=1``
   and render the :mod:`repro.telemetry.perfcounters` snapshot — engine
-  internals (event pushes/pops, wake-heap churn, skip windows) plus
+  internals (event pushes/pops, visited cycles, skip windows) plus
   per-phase wall-clock attribution, without cProfile's overhead.
 
 Wall-clock reads in this module are observability only — they go

@@ -3,7 +3,7 @@
 Environment knobs (also settable via ``python -m repro`` flags):
 
 * ``REPRO_ENGINE``        — loop implementation: ``naive`` (cycle by
-  cycle), ``fast`` (skip windows), or ``event`` (wake heap; default);
+  cycle) or ``fast`` (skip quiet windows; default);
 * ``REPRO_NO_SKIP=1``     — force the cycle-by-cycle loop (no fast-forward);
 * ``REPRO_VERIFY_SKIP=1`` — run every simulation twice (the selected
   engine plus a reference engine) and assert bit-identical results.

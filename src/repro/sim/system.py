@@ -1,22 +1,15 @@
 """System: cores + hierarchy + memory, and the global cycle loop.
 
-Four loop implementations produce bit-identical results (same
+Two loop implementations produce bit-identical results (same
 determinism chain, result fingerprint, and streamed telemetry bytes):
 
-* ``naive``   — the reference: step every component every cycle;
-* ``fast``    — scan every core each cycle but fast-forward over windows
-  where every core is quiescent and no event/DRAM edge has work;
-* ``event``   — the default: a wake-driven core that visits only cycles
-  where something can happen, tracking skipping cores in a wake heap
-  and idle DRAM channels by registered wakes (see :meth:`_run_event`
-  and DESIGN.md §5.4 for the identity argument);
-* ``batched`` — the event loop plus model-level windowing: a single
-  active core steps whole ready-windows in one call
-  (:meth:`OutOfOrderCore.step_window`) and DRAM channels sleep through
-  cycles at which no command can legally issue
-  (:meth:`ChannelController.next_wake_window`), leaning on the
-  batchability certificates (see :meth:`_run_batched` and DESIGN.md
-  §5.8).
+* ``naive`` — the reference: step every component every cycle;
+* ``fast``  — the default: the same loop, but a quiescent core is left
+  unstepped until its planned wake (stats settled lazily by
+  ``flush_skip``), and when every live core is quiescent the clock
+  jumps straight to the next cycle at which an event, a DRAM edge with
+  work, or a core wake is due (see :meth:`System._run_impl` and
+  DESIGN.md §5.4 for the identity argument).
 
 Select with ``System.run(engine=...)``, ``REPRO_ENGINE``, or the
 ``--engine`` CLI flag; ``REPRO_NO_SKIP=1`` forces ``naive``.
@@ -25,7 +18,6 @@ Select with ``System.run(engine=...)``, ``REPRO_ENGINE``, or the
 from __future__ import annotations
 
 import copy
-import heapq
 import os
 
 from repro.analysis import detchain, effectcheck
@@ -47,7 +39,7 @@ _FOREVER = 1 << 62
 #: Every registered loop implementation, in reference-first order.  The
 #: CLI, ``verify_determinism``, and ``profile --engines all`` enumerate
 #: this tuple rather than hard-coding engine names.
-ENGINES = ("naive", "fast", "event", "batched")
+ENGINES = ("naive", "fast")
 
 
 def make_provider_factory(spec):
@@ -151,8 +143,6 @@ class System:
         # SimResult.host_perf side channel.  None when disabled — the
         # loops then carry only `is not None` branches, no allocations.
         self.perf = PerfCounters.from_env()
-        if self.perf is not None:
-            self.memory._perf = self.perf
         # Purity-certificate cross-check (REPRO_VERIFY_EFFECTS=1): bracket
         # certified window-invariant hooks with det_state snapshots so an
         # undeclared mutation fails at the call, not as a later chain split.
@@ -162,12 +152,12 @@ class System:
     @staticmethod
     def resolve_engine(engine: str | None, skip_cycles: bool = True) -> str:
         """Pick the loop implementation: explicit argument, then the
-        ``REPRO_ENGINE`` environment knob, then the default (``event``).
+        ``REPRO_ENGINE`` environment knob, then the default (``fast``).
         ``skip_cycles=False`` is the legacy spelling of ``naive``."""
         if engine is None:
             if not skip_cycles:
                 return "naive"
-            engine = os.environ.get("REPRO_ENGINE", "").strip() or "event"
+            engine = os.environ.get("REPRO_ENGINE", "").strip() or "fast"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}: expected one of "
@@ -184,8 +174,8 @@ class System:
         """Run every core's trace to completion; returns the results.
 
         ``engine`` selects the loop implementation (see the module
-        docstring); all three are bit-identical, so the choice only
-        affects wall clock.  ``skip_cycles=False`` forces the plain
+        docstring); both are bit-identical, so the choice only affects
+        wall clock.  ``skip_cycles=False`` forces the plain
         cycle-by-cycle loop (the reference for the cross-check mode) and
         is equivalent to ``engine="naive"``.
 
@@ -194,24 +184,17 @@ class System:
         manifest marked ``failed`` — on any failure, so a crashed run
         never leaves an ambiguous half-written stream behind.
         """
-        engine = self.resolve_engine(engine, skip_cycles)
+        skip = self.resolve_engine(engine, skip_cycles) == "fast"
         stream = self.telemetry.stream
         if stream is None:
-            return self._dispatch(engine, max_cycles)
+            return self._run_impl(max_cycles, skip)
         try:
-            result = self._dispatch(engine, max_cycles)
+            result = self._run_impl(max_cycles, skip)
         except BaseException:
             stream.abort()
             raise
         stream.finalize(result.cycles, result.trace_dropped)
         return result
-
-    def _dispatch(self, engine: str, max_cycles: int | None) -> SimResult:
-        if engine == "event":
-            return self._run_event(max_cycles)
-        if engine == "batched":
-            return self._run_batched(max_cycles)
-        return self._run_impl(max_cycles, skip_cycles=(engine == "fast"))
 
     def _fold_telemetry(self, sampler, stream, limit: int) -> None:
         """Fold sampler and stream-flush points, interleaved on the
@@ -323,7 +306,7 @@ class System:
             if all_quiet and remaining:
                 # Every live core is quiescent: jump straight to the next
                 # cycle at which anything can happen.
-                target = memory.next_wake_cpu(now)
+                target = memory.next_wake_cycle(now)
                 event_cycle = events.next_cycle()
                 if event_cycle is not None and event_cycle < target:
                     target = event_cycle
@@ -351,418 +334,6 @@ class System:
             if clock is not None:
                 perf.ns_telemetry += clock() - t3
             self._now = now = nxt
-        return self._finish_run(now, hit_cap, chain, sampler)
-
-    def _run_event(self, max_cycles: int | None = None) -> SimResult:
-        """Wake-driven loop: visit only cycles where something can happen.
-
-        The per-cycle loops spend most of their time discovering that
-        nothing is due; this loop tracks *who is due when* instead:
-
-        * **Cores** are either active (stepped every visited cycle, in
-          core-id order, forcing the next cycle to be visited) or
-          skipping.  A skipping core holds a lazily-invalidated entry in
-          a wake heap at its ``skip_until`` and carries a wake hook
-          (``_wake_hook``) that fires when an event clears its skip
-          early.  Since every wake originates inside an event callback
-          (store-buffer retries, DRAM-bound promotions, the core's own
-          completion events), hooks only fire during the ``run_due``
-          phase — before the core scan — so a core woken at cycle ``now``
-          is stepped at ``now``, exactly as the per-cycle scan's
-          ``skip_until > now`` test would have done.
-        * **DRAM channels** register wakes (:meth:`MemorySystem.wake_cpu`)
-          instead of being polled: an idle channel's skipped steps are
-          pure zero-occupancy samples, settled lazily by
-          ``account_idle``/``settle_idle``.
-        * **Events** run only when the queue's head is due.
-
-        Det-chain, sampler, and stream fold points live on the virtual
-        cycle axis and never force a visit: due points inside a jumped
-        window fold the same constant state the naive loop would have
-        read cycle by cycle (same argument as ``_run_impl``'s windows).
-        Together these make the loop bit-identical to the naive one —
-        the engine-differential suite and ``REPRO_VERIFY_SKIP`` hold it
-        to that.
-        """
-        cores = self.cores
-        events = self.events
-        memory = self.memory
-        finish = self._finish_cycles
-        remaining = len(cores)
-        now = self._now
-        hit_cap = False
-        forever = _FOREVER
-        every = detchain.interval()
-        chain = detchain.DetChain(every) if every else None
-        next_sample = every
-        sampler = self.telemetry.sampler
-        stream = self.telemetry.stream
-        fold_telemetry = sampler is not None or stream is not None
-        # Host perf counters (REPRO_PERF=1): same disabled-path discipline
-        # as _run_impl — branches only, no per-cycle allocations.
-        perf = self.perf
-        clock = hostclock.now_ns if perf is not None else None
-        t0 = t1 = t2 = t3 = 0
-
-        wake_heap: list = []  # (skip_until, core_id); stale entries dropped
-        woken: list = []  # skipping cores whose wake hook fired
-
-        def on_wake(core):
-            core._wake_hook = None
-            woken.append(core)
-            if perf is not None:
-                perf.wake_hook_fires += 1
-
-        is_active = [not core.done for core in cores]
-        active = [core for core in cores if not core.done]
-        dirty = False
-
-        while remaining:
-            if max_cycles is not None and now >= max_cycles:
-                hit_cap = True
-                break
-            if clock is not None:
-                perf.visited_cycles += 1
-                t0 = clock()
-            due = events.next_cycle()
-            if due is not None and due <= now:
-                events.run_due(now)
-                if woken:
-                    for core in woken:
-                        cid = core.core_id
-                        if not is_active[cid] and not core.done:
-                            is_active[cid] = True
-                            dirty = True
-                    del woken[:]
-            if clock is not None:
-                t1 = clock()
-                perf.ns_events += t1 - t0
-            memory.step_event(now)
-            if clock is not None:
-                t2 = clock()
-                perf.ns_memory += t2 - t1
-            while wake_heap:
-                cycle, cid = wake_heap[0]
-                core = cores[cid]
-                if core.done or core.skip_until != cycle:
-                    heapq.heappop(wake_heap)  # stale: woken or re-planned
-                    if perf is not None:
-                        perf.heap_stale_drops += 1
-                    continue
-                if cycle > now:
-                    break
-                heapq.heappop(wake_heap)
-                core._wake_hook = None
-                if not is_active[cid]:
-                    is_active[cid] = True
-                    dirty = True
-            if dirty:
-                active = [core for core in cores if is_active[core.core_id]]
-                dirty = False
-            for core in active:
-                if core._quiet_deltas is not None:
-                    core.flush_skip(now)
-                core.step(now)
-                if core.done:
-                    finish[core.core_id] = now + 1
-                    remaining -= 1
-                    is_active[core.core_id] = False
-                    dirty = True
-                elif core.plan_defer:
-                    core.plan_defer -= 1
-                else:
-                    plan = core.skip_plan(now)
-                    if plan is None:
-                        core.plan_defer = 3
-                    else:
-                        core.begin_skip(plan, now, forever)
-                        if perf is not None:
-                            perf.note_skip(core.skip_until, now)
-                        is_active[core.core_id] = False
-                        dirty = True
-                        core._wake_hook = on_wake
-                        if core.skip_until < forever:
-                            heapq.heappush(
-                                wake_heap, (core.skip_until, core.core_id)
-                            )
-                            if perf is not None:
-                                perf.heap_pushes += 1
-            if dirty:
-                active = [core for core in cores if is_active[core.core_id]]
-                dirty = False
-            nxt = now + 1
-            if not active and remaining:
-                # Every live core is skipping: jump to the next cycle at
-                # which anything can happen.
-                target = memory.wake_cpu(now)
-                event_cycle = events.next_cycle()
-                if event_cycle is not None and event_cycle < target:
-                    target = event_cycle
-                while wake_heap:
-                    cycle, cid = wake_heap[0]
-                    core = cores[cid]
-                    if core.done or core.skip_until != cycle:
-                        heapq.heappop(wake_heap)
-                        if perf is not None:
-                            perf.heap_stale_drops += 1
-                        continue
-                    if cycle < target:
-                        target = cycle
-                    break
-                if max_cycles is not None and target > max_cycles:
-                    target = max_cycles
-                if target > nxt:
-                    nxt = target
-            if chain is not None and next_sample < nxt:
-                state = detchain.snapshot(self)
-                while next_sample < nxt:
-                    chain.sample(next_sample, state)
-                    next_sample += every
-            if clock is not None:
-                t3 = clock()
-                perf.ns_cores += t3 - t2
-            if fold_telemetry:
-                self._fold_telemetry(sampler, stream, nxt)
-            if clock is not None:
-                perf.ns_telemetry += clock() - t3
-            self._now = now = nxt
-        for core in cores:
-            core._wake_hook = None
-        memory.settle_idle(now)
-        return self._finish_run(now, hit_cap, chain, sampler)
-
-    def _run_batched(self, max_cycles: int | None = None) -> SimResult:
-        """Windowed loop: the event engine plus model-level batching.
-
-        Two additions over :meth:`_run_event` (DESIGN.md §5.8):
-
-        * **DRAM command batching** — channels register timing-aware
-          wakes (:meth:`ChannelController.next_wake_window`): with only
-          reads queued, a channel sleeps until the first cycle a command
-          could legally issue; the skipped cycles' occupancy/criticality
-          statistics are settled in bulk (``account_window``) and their
-          det_state is provably constant, so the existing all-quiet jump
-          and fold-point machinery already handle them exactly.
-        * **Core windows** — when exactly one core is active, it advances
-          through :meth:`OutOfOrderCore.step_window` over the span in
-          which no event, DRAM edge, or parked-core wake can intervene.
-          Windowed stages replay the per-cycle stages exactly, but they
-          *do* change state cycle by cycle, so — unlike quiescent jumps —
-          a window may only end at a det-chain/sampler/stream fold point,
-          never span one: fold points read end-of-cycle state on the
-          virtual axis, and the limit computation clamps to the next one.
-
-        Only hooks certified in batchability.json are windowed (SEM032
-        pins every shortcut site to its certificate; REPRO_VERIFY_EFFECTS
-        re-checks the pure ones at runtime).
-        """
-        cores = self.cores
-        events = self.events
-        memory = self.memory
-        memory._batched = True
-        finish = self._finish_cycles
-        remaining = len(cores)
-        now = self._now
-        hit_cap = False
-        forever = _FOREVER
-        every = detchain.interval()
-        chain = detchain.DetChain(every) if every else None
-        next_sample = every
-        sampler = self.telemetry.sampler
-        stream = self.telemetry.stream
-        fold_telemetry = sampler is not None or stream is not None
-        perf = self.perf
-        clock = hostclock.now_ns if perf is not None else None
-        t0 = t1 = t2 = t3 = 0
-
-        wake_heap: list = []  # (skip_until, core_id); stale entries dropped
-        woken: list = []  # skipping cores whose wake hook fired
-
-        def on_wake(core):
-            core._wake_hook = None
-            woken.append(core)
-            if perf is not None:
-                perf.wake_hook_fires += 1
-
-        is_active = [not core.done for core in cores]
-        active = [core for core in cores if not core.done]
-        dirty = False
-
-        while remaining:
-            if max_cycles is not None and now >= max_cycles:
-                hit_cap = True
-                break
-            if clock is not None:
-                perf.visited_cycles += 1
-                t0 = clock()
-            due = events.next_cycle()
-            if due is not None and due <= now:
-                events.run_due(now)
-                if woken:
-                    for core in woken:
-                        cid = core.core_id
-                        if not is_active[cid] and not core.done:
-                            is_active[cid] = True
-                            dirty = True
-                    del woken[:]
-            if clock is not None:
-                t1 = clock()
-                perf.ns_events += t1 - t0
-            memory.step_window(now)
-            if clock is not None:
-                t2 = clock()
-                perf.ns_memory += t2 - t1
-            while wake_heap:
-                cycle, cid = wake_heap[0]
-                core = cores[cid]
-                if core.done or core.skip_until != cycle:
-                    heapq.heappop(wake_heap)  # stale: woken or re-planned
-                    if perf is not None:
-                        perf.heap_stale_drops += 1
-                    continue
-                if cycle > now:
-                    break
-                heapq.heappop(wake_heap)
-                core._wake_hook = None
-                if not is_active[cid]:
-                    is_active[cid] = True
-                    dirty = True
-            if dirty:
-                active = [core for core in cores if is_active[core.core_id]]
-                dirty = False
-            nxt = now + 1
-            if len(active) == 1:
-                # Single active core: find the span in which nothing else
-                # can intervene and let the core advance through it.
-                core = active[0]
-                target = memory.wake_cpu(now)
-                event_cycle = events.next_cycle()
-                if event_cycle is not None and event_cycle < target:
-                    target = event_cycle
-                while wake_heap:
-                    cycle, cid = wake_heap[0]
-                    other = cores[cid]
-                    if other.done or other.skip_until != cycle:
-                        heapq.heappop(wake_heap)
-                        if perf is not None:
-                            perf.heap_stale_drops += 1
-                        continue
-                    if cycle < target:
-                        target = cycle
-                    break
-                if chain is not None and next_sample + 1 < target:
-                    target = next_sample + 1
-                if sampler is not None and sampler.next_sample + 1 < target:
-                    target = sampler.next_sample + 1
-                if stream is not None and stream.next_flush + 1 < target:
-                    target = stream.next_flush + 1
-                if max_cycles is not None and target > max_cycles:
-                    target = max_cycles
-                if core._quiet_deltas is not None:
-                    core.flush_skip(now)
-                if target > nxt:
-                    # The span is sound because the DRAM side publishes
-                    # no CPU-visible edge before ``target``:
-                    # repro-batch: cert=MemorySystem.wake_cpu
-                    nxt = now + core.step_window(now, target)
-                else:
-                    core.step(now)
-                if core.done:
-                    finish[core.core_id] = nxt
-                    remaining -= 1
-                    is_active[core.core_id] = False
-                    dirty = True
-                elif core.plan_defer:
-                    core.plan_defer -= 1
-                else:
-                    plan = core.skip_plan(nxt - 1)
-                    if plan is None:
-                        core.plan_defer = 3
-                    else:
-                        core.begin_skip(plan, nxt - 1, forever)
-                        if perf is not None:
-                            perf.note_skip(core.skip_until, nxt - 1)
-                        is_active[core.core_id] = False
-                        dirty = True
-                        core._wake_hook = on_wake
-                        if core.skip_until < forever:
-                            heapq.heappush(
-                                wake_heap, (core.skip_until, core.core_id)
-                            )
-                            if perf is not None:
-                                perf.heap_pushes += 1
-            else:
-                for core in active:
-                    if core._quiet_deltas is not None:
-                        core.flush_skip(now)
-                    core.step(now)
-                    if core.done:
-                        finish[core.core_id] = now + 1
-                        remaining -= 1
-                        is_active[core.core_id] = False
-                        dirty = True
-                    elif core.plan_defer:
-                        core.plan_defer -= 1
-                    else:
-                        plan = core.skip_plan(now)
-                        if plan is None:
-                            core.plan_defer = 3
-                        else:
-                            core.begin_skip(plan, now, forever)
-                            if perf is not None:
-                                perf.note_skip(core.skip_until, now)
-                            is_active[core.core_id] = False
-                            dirty = True
-                            core._wake_hook = on_wake
-                            if core.skip_until < forever:
-                                heapq.heappush(
-                                    wake_heap, (core.skip_until, core.core_id)
-                                )
-                                if perf is not None:
-                                    perf.heap_pushes += 1
-            if dirty:
-                active = [core for core in cores if is_active[core.core_id]]
-                dirty = False
-            if not active and remaining:
-                # Every live core is skipping: jump to the next cycle at
-                # which anything can happen.  DRAM gap-skipping rides on
-                # this jump — windowed channel wakes land in _chan_wake,
-                # so wake_cpu already reflects them.
-                target = memory.wake_cpu(nxt - 1)
-                event_cycle = events.next_cycle()
-                if event_cycle is not None and event_cycle < target:
-                    target = event_cycle
-                while wake_heap:
-                    cycle, cid = wake_heap[0]
-                    core = cores[cid]
-                    if core.done or core.skip_until != cycle:
-                        heapq.heappop(wake_heap)
-                        if perf is not None:
-                            perf.heap_stale_drops += 1
-                        continue
-                    if cycle < target:
-                        target = cycle
-                    break
-                if max_cycles is not None and target > max_cycles:
-                    target = max_cycles
-                if target > nxt:
-                    nxt = target
-            if chain is not None and next_sample < nxt:
-                state = detchain.snapshot(self)
-                while next_sample < nxt:
-                    chain.sample(next_sample, state)
-                    next_sample += every
-            if clock is not None:
-                t3 = clock()
-                perf.ns_cores += t3 - t2
-            if fold_telemetry:
-                self._fold_telemetry(sampler, stream, nxt)
-            if clock is not None:
-                perf.ns_telemetry += clock() - t3
-            self._now = now = nxt
-        for core in cores:
-            core._wake_hook = None
-        memory.settle_idle(now)
         return self._finish_run(now, hit_cap, chain, sampler)
 
     def _finish_run(self, now, hit_cap, chain, sampler) -> SimResult:

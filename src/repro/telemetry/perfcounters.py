@@ -2,8 +2,8 @@
 
 The telemetry registry measures the *simulated machine*; this module
 measures the *simulator*: how many event-queue callbacks fired, how many
-wake-heap entries went stale, how long each engine phase took on the
-host clock.  That is the observability the model-batching work is judged
+cycles the loop visited and skipped, how long each engine phase took on
+the host clock.  That is the observability engine work is judged
 against — ``repro profile --counters`` renders it, ``repro bench``
 records it next to wall clock.
 
@@ -33,10 +33,6 @@ FIELDS = (
     ("visited_cycles", "engine loop iterations (cycles actually visited)"),
     ("event_pushes", "event-queue schedules"),
     ("event_pops", "event-queue callbacks fired"),
-    ("heap_pushes", "core wake-heap pushes"),
-    ("heap_stale_drops", "core wake-heap lazy invalidations dropped"),
-    ("wake_hook_fires", "core wake hooks fired (early un-skips)"),
-    ("chan_wake_republishes", "DRAM channel wake republishes"),
     ("skip_windows", "core skip windows entered"),
     ("skip_cycles_planned", "cycles covered by bounded skip windows"),
     ("skip_forever", "skip windows with no self-wake (external only)"),

@@ -37,15 +37,6 @@ class CoveredController:
         return [self.commands_issued_total]
 
 
-class WindowReader:
-    """Legal version of the SEM032 fixture: the cited certificate is
-    current (det_state is window-invariant)."""
-
-    def snapshot(self, controller):
-        # repro-batch: cert=CoveredController.det_state
-        return controller.det_state()
-
-
 class OldestFirstScheduler(Scheduler):
     """Legal policy: every issue path breaks ties by age (txn.seq)."""
 

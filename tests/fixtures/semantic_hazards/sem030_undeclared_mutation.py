@@ -1,7 +1,7 @@
 """SEM030: a certified-pure method with an undeclared mutation.
 
-``next_wake`` is on the batching layer's certified-pure path: the
-wake-driven loop may call it once per ready-window and trust the
+``next_wake`` is on the fast loop's certified-pure path: the loop
+may call it at any visited cycle, or skip the call, and trust the
 answer.  This controller "instruments" it with a probe counter — the
 mutation is folded into det_state (so SEM010 stays silent; the chain
 is sound) but the purity certificate is now a lie: evaluating

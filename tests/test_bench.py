@@ -14,7 +14,7 @@ def record(tmp_path_factory):
     """One real (tiny) suite run, shared across the module's tests."""
     return bench.run_suite(
         repeats=2, instructions=600, seed=3,
-        cells="fft/fr-fcfs/event,fft/fr-fcfs/naive",
+        cells="fft/fr-fcfs/fast,fft/fr-fcfs/naive",
     )
 
 
@@ -24,7 +24,7 @@ class TestRunSuite:
 
     def test_cells_carry_measurements(self, record):
         assert {c["name"] for c in record["cells"]} == {
-            "fft/fr-fcfs/event", "fft/fr-fcfs/naive",
+            "fft/fr-fcfs/fast", "fft/fr-fcfs/naive",
         }
         for cell in record["cells"]:
             assert len(cell["wall_seconds"]) == 2
@@ -49,11 +49,11 @@ class TestRunSuite:
     def test_env_is_restored(self, record, monkeypatch):
         import os
 
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        monkeypatch.setenv("REPRO_ENGINE", "naive")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/should-survive")
         bench.run_suite(repeats=1, instructions=300,
-                        cells="fft/fr-fcfs/event")
-        assert os.environ["REPRO_ENGINE"] == "fast"
+                        cells="fft/fr-fcfs/fast")
+        assert os.environ["REPRO_ENGINE"] == "naive"
         assert os.environ["REPRO_FLEET_DIR"] == "/tmp/should-survive"
 
     def test_unknown_cell_is_an_error(self):
@@ -153,7 +153,7 @@ class TestCli:
 
         defaults = dict(
             quick=True, repeats=1, instructions=300, seed=1,
-            cells="fft/fr-fcfs/event", out=None, compare=None,
+            cells="fft/fr-fcfs/fast", out=None, compare=None,
             threshold=0.25,
         )
         defaults.update(overrides)

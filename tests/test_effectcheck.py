@@ -17,7 +17,7 @@ from repro.analysis.effectcheck import (
 )
 from repro.config import DramConfig, SystemConfig
 from repro.cpu.instruction import INT, LOAD, Trace
-from repro.sim.system import System
+from repro.sim.system import ENGINES, System
 
 
 def small_traces(cores=2, n=400):
@@ -72,7 +72,7 @@ class TestCertificatesHoldAtRuntime:
         assert checked.finish_cycles == bare.finish_cycles
 
     def test_every_engine_stays_clean(self):
-        for engine in ("naive", "fast", "event"):
+        for engine in ENGINES:
             system = make_system()
             instrument_system(system, every=3)
             result = system.run(max_cycles=400_000, engine=engine)

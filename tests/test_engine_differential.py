@@ -1,19 +1,25 @@
-"""Cross-engine differential oracle: naive vs fast vs event vs batched.
+"""Cross-engine differential oracle: naive vs fast.
 
-The four loop implementations in :mod:`repro.sim.system` must be
+The two loop implementations in :mod:`repro.sim.system` must be
 bit-identical — same determinism chain, same result fingerprint, and
 byte-identical streamed telemetry segments on disk.  This module holds
-the event engine to that for every registered scheduler, and pins the
-previously-untested ``max_cycles`` cap path (a capped run breaks out of
-the loop mid-flight, which must not perturb telemetry folding).
+the ``fast`` engine to that for every registered scheduler, with the
+runtime purity checker (``REPRO_VERIFY_EFFECTS``) re-verifying the
+certified hooks its skip decisions call, and pins the ``max_cycles`` cap
+path (a capped run breaks out of the loop mid-flight, and a cap inside a
+quiet window must clamp the jump exactly).
 
 The satellite regressions ride along: the shared-kwargs aliasing fix in
-``make_provider_factory`` and the stall guard in ``_fold_telemetry``.
+``make_provider_factory``, the stall guard in ``_fold_telemetry``, and
+the one-line CLI error for an unknown ``REPRO_ENGINE``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,12 +27,12 @@ import pytest
 from repro.config import SimScale, SystemConfig
 from repro.sched.registry import SCHEDULERS
 from repro.sim.stats import result_fingerprint
-from repro.sim.system import System, make_provider_factory
+from repro.sim.system import ENGINES, System, make_provider_factory
 from repro.workloads.parallel import parallel_traces
 
 SCALE = SimScale(instructions_per_core=400, warmup_instructions=0, seed=11)
 
-ENGINES = ("naive", "fast", "event", "batched")
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _provider_for(scheduler: str):
@@ -61,23 +67,46 @@ def telemetry_on(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_event_engine_bit_identical_for_every_scheduler(
-    telemetry_on, tmp_path, monkeypatch, scheduler
-):
-    """Det-chain, fingerprint, and streamed bytes: event == naive."""
+def _naive_vs_fast(tmp_path, monkeypatch, scheduler, verify_effects):
+    """Run naive and fast on one scheduler; assert det-chain, fingerprint
+    and streamed segment bytes agree.  ``verify_effects`` turns the
+    runtime effect checker on for the fast leg only."""
     results = {}
     digests = {}
-    for engine in ("naive", "event"):
+    for engine in ENGINES:
         stream_dir = tmp_path / engine
         monkeypatch.setenv("REPRO_STREAM_DIR", str(stream_dir))
+        if engine == "fast" and verify_effects:
+            monkeypatch.setenv("REPRO_VERIFY_EFFECTS", "1")
+            monkeypatch.setenv("REPRO_VERIFY_EFFECTS_EVERY", "5")
+        else:
+            monkeypatch.delenv("REPRO_VERIFY_EFFECTS", raising=False)
         results[engine] = _make_system(scheduler).run(engine=engine)
         digests[engine] = _stream_digest(stream_dir)
-    naive, event = results["naive"], results["event"]
-    assert naive.det_chain == event.det_chain
-    assert result_fingerprint(naive) == result_fingerprint(event)
+    naive, fast = results["naive"], results["fast"]
+    assert naive.det_chain == fast.det_chain
+    assert result_fingerprint(naive) == result_fingerprint(fast)
     assert digests["naive"], "streaming produced no segments"
-    assert digests["naive"] == digests["event"]
+    assert digests["naive"] == digests["fast"]
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_fast_engine_bit_identical_for_every_scheduler(
+    telemetry_on, tmp_path, monkeypatch, scheduler
+):
+    """Det-chain, fingerprint, and streamed bytes: fast == naive, on the
+    production path (no effect checker attached)."""
+    _naive_vs_fast(tmp_path, monkeypatch, scheduler, verify_effects=False)
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_fast_engine_bit_identical_under_verified_effects(
+    telemetry_on, tmp_path, monkeypatch, scheduler
+):
+    """The same identity with the runtime effect checker on for the fast
+    leg, so every purity certificate its skip decisions lean on is
+    re-verified while the identity is proven."""
+    _naive_vs_fast(tmp_path, monkeypatch, scheduler, verify_effects=True)
 
 
 class TestMaxCyclesCap:
@@ -104,16 +133,24 @@ class TestMaxCyclesCap:
         assert reference.hit_max_cycles, "cap too high to exercise the break"
         assert reference.cycles == self.CAP
         assert reference.sample_cycles, "sampler produced nothing under cap"
-        for engine in ("fast", "event", "batched"):
-            other = results[engine]
-            assert other.hit_max_cycles
-            assert other.det_chain == reference.det_chain, engine
-            assert other.sample_cycles == reference.sample_cycles, engine
-            assert other.timeseries == reference.timeseries, engine
-            assert result_fingerprint(other) == result_fingerprint(
-                reference
-            ), engine
-            assert digests[engine] == digests["naive"], engine
+        fast = results["fast"]
+        assert fast.hit_max_cycles
+        assert fast.det_chain == reference.det_chain
+        assert fast.sample_cycles == reference.sample_cycles
+        assert fast.timeseries == reference.timeseries
+        assert result_fingerprint(fast) == result_fingerprint(reference)
+        assert digests["fast"] == digests["naive"]
+
+    @pytest.mark.parametrize("cap", (257, 500))
+    def test_cap_inside_a_window(self, telemetry_on, cap):
+        """A max_cycles cap must clamp quiet-window jumps exactly,
+        including caps that land mid-stride on no fold boundary (257 is
+        prime)."""
+        naive = _make_system().run(max_cycles=cap, engine="naive")
+        fast = _make_system().run(max_cycles=cap, engine="fast")
+        assert naive.hit_max_cycles and fast.hit_max_cycles
+        assert naive.cycles == fast.cycles == cap
+        assert result_fingerprint(naive) == result_fingerprint(fast)
 
     def test_cap_on_detchain_boundary(self, monkeypatch):
         """A cap landing exactly on a chain-sample cycle must fold the
@@ -131,23 +168,54 @@ class TestMaxCyclesCap:
         assert len(chains) == 1
         assert len(checkpoints) == 1
 
+    def test_chain_samples_inside_quiet_windows(self, monkeypatch):
+        """With a short, odd chain interval, sample points fall inside
+        quiet-window jumps (the longest jumps of this run, up to 10
+        cycles, come late, so the cap sits just below run end on a chain
+        sample cycle); the fast loop must fold exactly the checkpoints
+        naive folds."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "7")
+        cap = 7 * 100  # a chain sample cycle that is no fold boundary
+        naive = _make_system().run(max_cycles=cap, engine="naive")
+        fast = _make_system().run(max_cycles=cap, engine="fast")
+        assert naive.hit_max_cycles and fast.hit_max_cycles
+        assert naive.det_checkpoints, "chain folded no checkpoints"
+        assert fast.det_checkpoints == naive.det_checkpoints
+        assert fast.det_chain == naive.det_chain
+
 
 def test_incremental_det_state_matches_scan_after_real_run():
     """After a coherence-heavy run, every cache's incrementally
     maintained det_state words equal the full tag-array walk."""
     system = _make_system("crit-casras")
-    system.run()
+    system.run(engine="fast")
+    caches = list(system.hierarchy.l1) + [system.hierarchy.l2]
+    for cache in caches:
+        assert cache.det_state() == cache.det_state_scan()
+
+
+def test_incremental_det_state_matches_scan_after_capped_run():
+    """A cap stops the fast loop mid-flight, with fills and coherence
+    traffic still outstanding; the incremental det_state words must
+    already equal the full walk at that point."""
+    system = _make_system("crit-casras")
+    result = system.run(max_cycles=257, engine="fast")
+    assert result.hit_max_cycles
     caches = list(system.hierarchy.l1) + [system.hierarchy.l2]
     for cache in caches:
         assert cache.det_state() == cache.det_state_scan()
 
 
 class TestEngineSelection:
-    def test_resolve_engine_defaults_to_event(self, monkeypatch):
+    def test_registered_engines(self):
+        assert ENGINES == ("naive", "fast")
+
+    def test_resolve_engine_defaults_to_fast(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert System.resolve_engine(None) == "event"
+        assert System.resolve_engine(None) == "fast"
         assert System.resolve_engine(None, skip_cycles=False) == "naive"
-        assert System.resolve_engine("fast") == "fast"
+        assert System.resolve_engine("naive") == "naive"
 
     def test_resolve_engine_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "naive")
@@ -156,6 +224,28 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             System.resolve_engine("warp")
+
+    @pytest.mark.parametrize("name", ("evnt", "event"))
+    def test_unknown_env_engine_fails_cleanly_on_the_cli(self, name):
+        """A bad REPRO_ENGINE (a typo, or a retired engine name left in
+        a shell) gets the same treatment as a bad --engine: one line
+        naming the accepted values and exit code 2, no traceback."""
+        env = dict(os.environ, REPRO_ENGINE=name, REPRO_NO_CACHE="1")
+        env["PYTHONPATH"] = _SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fft",
+             "--instructions", "200"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert repr(name) in lines[0]
+        for engine in ENGINES:
+            assert engine in lines[0]
 
     def test_engine_not_part_of_cache_key(self):
         from repro.sim.engine import RunSpec, spec_key

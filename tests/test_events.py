@@ -56,7 +56,7 @@ class TestEventQueue:
 
 
 class TestRunDueReentrancy:
-    """The reentrancy contract the wake-driven engine leans on: anything
+    """The reentrancy contract the engine loops lean on: anything
     a callback schedules at ``cycle <= now`` fires within the same
     ``run_due`` call, in (cycle, seq) order."""
 

@@ -3,8 +3,8 @@
 The layer's contract has two halves:
 
 * **observability** — with the knob on, every engine reports its own
-  internals (the event engine its wake-heap churn, the skipping loops
-  their windows) plus per-phase host-clock attribution;
+  internals (visited cycles, the fast loop its skip windows) plus
+  per-phase host-clock attribution;
 * **identity** — turning the knob on changes *nothing* the simulation
   produces: det-chain, result fingerprint, streamed bytes, and the
   engine cache key are bit-identical, and with the knob off no counter
@@ -17,11 +17,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.sim.stats import result_fingerprint
-from repro.sim.system import System
+from repro.sim.system import ENGINES, System
 from repro.telemetry import perfcounters
 from repro.workloads.parallel import parallel_traces
-
-ENGINES = ("naive", "fast", "event")
 
 
 def _run(engine: str, monkeypatch=None, instructions: int = 1_200):
@@ -40,7 +38,7 @@ class TestCountersPopulate:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_PERF", raising=False)
         assert not perfcounters.enabled()
-        assert _run("event").host_perf is None
+        assert _run("fast").host_perf is None
 
     def test_zero_is_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_PERF", "0")
@@ -62,16 +60,7 @@ class TestCountersPopulate:
         assert counters["event_pops"] > 0
         assert counters["event_pops"] <= counters["event_pushes"]
 
-    def test_event_engine_heap_counters(self, perf_on):
-        counters = _run("event").host_perf["counters"]
-        assert counters["heap_pushes"] > 0
-        assert counters["wake_hook_fires"] > 0
-        assert counters["chan_wake_republishes"] > 0
-        # every heap entry is either consumed at its wake cycle or
-        # dropped stale; drops cannot exceed what was pushed
-        assert counters["heap_stale_drops"] <= counters["heap_pushes"]
-
-    @pytest.mark.parametrize("engine", ("fast", "event"))
+    @pytest.mark.parametrize("engine", ("fast",))
     def test_skip_window_counters(self, perf_on, engine):
         counters = _run(engine).host_perf["counters"]
         assert counters["skip_windows"] > 0
@@ -81,7 +70,6 @@ class TestCountersPopulate:
     def test_naive_never_skips(self, perf_on):
         counters = _run("naive").host_perf["counters"]
         assert counters["skip_windows"] == 0
-        assert counters["heap_pushes"] == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_phase_attribution_accumulates(self, perf_on, engine):
@@ -89,12 +77,12 @@ class TestCountersPopulate:
         assert sum(phases.values()) > 0
         assert all(v >= 0 for v in phases.values())
 
-    def test_visited_cycles_event_at_most_naive(self, perf_on):
+    def test_visited_cycles_fast_at_most_naive(self, perf_on):
         visited = {
             engine: _run(engine).host_perf["counters"]["visited_cycles"]
-            for engine in ("naive", "event")
+            for engine in ENGINES
         }
-        assert visited["event"] <= visited["naive"]
+        assert visited["fast"] <= visited["naive"]
 
 
 class TestIdentity:
@@ -112,7 +100,7 @@ class TestIdentity:
             assert perfed[engine].det_chain == baseline[engine].det_chain
 
     def test_host_perf_not_in_fingerprint(self, perf_on):
-        result = _run("event")
+        result = _run("fast")
         assert result.host_perf is not None
         stripped = result_fingerprint(result)
         result.host_perf = None
@@ -137,7 +125,7 @@ class TestIdentity:
             else:
                 monkeypatch.delenv("REPRO_PERF", raising=False)
             monkeypatch.setenv("REPRO_STREAM_DIR", str(directory))
-            _run("event")
+            _run("fast")
             byte_maps.append(streamed(directory))
         assert byte_maps[0] == byte_maps[1]
         assert any(byte_maps[0].values())  # the comparison saw real data
@@ -175,7 +163,7 @@ class TestRender:
         assert "REPRO_PERF" in text
 
     def test_render_table(self, perf_on):
-        result = _run("event")
+        result = _run("fast")
         text = perfcounters.render(result.host_perf, wall_seconds=1.0)
         assert "event_pushes" in text
         assert "phase" in text

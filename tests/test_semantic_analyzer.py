@@ -28,7 +28,6 @@ from repro.analysis.semantic import (
     analyze_source,
     main,
 )
-from repro.analysis.semantic.batchability import build_report
 from repro.analysis.semantic.cfg import build_cfg, reachable_avoiding
 from repro.analysis.semantic.domains import (
     ATTR_SEEDS,
@@ -174,7 +173,6 @@ class TestHazardFixtures:
         assert by_file["sem022_missing_override.py"] == {"SEM022"}
         assert by_file["sem030_undeclared_mutation.py"] == {"SEM030"}
         assert by_file["sem031_rng_in_hook.py"] == {"SEM031"}
-        assert by_file["sem032_uncertified_batch.py"] == {"SEM032"}
 
     def test_clean_counter_examples_stay_clean(self, report):
         by_file = rules_by_file(report)
@@ -287,9 +285,7 @@ class TestRepoContract:
 
         ``next_wake`` carries a window-invariance certificate; bumping
         the (det_state-covered, so SEM010-silent) ``_seq`` counter
-        inside it must trip SEM030 — both on ``next_wake`` itself and,
-        via interprocedural propagation, on ``next_wake_window`` (also
-        certified pure), whose slow path calls it — and nothing else.
+        inside it must trip SEM030 on ``next_wake`` — and nothing else.
         """
         tree = tmp_path / "repro"
         shutil.copytree(SRC, tree)
@@ -303,12 +299,10 @@ class TestRepoContract:
         )
         controller.write_text(source)
         report = analyze_paths([tree.parent])
-        assert [f.rule for f in report.findings] == ["SEM030", "SEM030"]
-        flagged = {f.message.split("(")[0] for f in report.findings}
-        for finding in report.findings:
-            assert "_seq" in finding.message
-        assert any("next_wake_window" in f.message for f in report.findings)
-        assert len(flagged) == 2
+        assert [f.rule for f in report.findings] == ["SEM030"]
+        (finding,) = report.findings
+        assert "ChannelController.next_wake()" in finding.message
+        assert "_seq" in finding.message
 
     def test_injected_field_becomes_clean_when_registered(self, tmp_path):
         """Folding the injected field into det_state() clears the finding."""
@@ -490,132 +484,6 @@ class TestEffectInference:
         eff = table["mod.Helper.poke"]
         assert any("read_queue" in d for d in eff.foreign)
         assert classify(eff) == "per-cycle-only"
-
-
-#: The full registry the report must classify (ROADMAP scheduler set).
-SCHEDULER_NAMES = {
-    "ahb", "atlas", "casras-crit", "crit-casras", "crit-rl", "fcfs",
-    "fr-fcfs", "minimalist", "morse-p", "par-bs", "tcm", "tcm+crit",
-}
-
-
-class TestBatchabilityReport:
-    @pytest.fixture(scope="class")
-    def report(self):
-        graph = ModuleGraph.load(iter_python_files([SRC]))
-        return build_report(graph)
-
-    def test_every_hot_class_is_certified(self, report):
-        assert set(report["classes"]) == {
-            "ChannelController", "MemoryHierarchy", "MemorySystem",
-            "OutOfOrderCore",
-        }
-
-    def test_every_scheduler_is_certified(self, report):
-        assert set(report["schedulers"]) == SCHEDULER_NAMES
-        for name, hooks in report["schedulers"].items():
-            assert "select" in hooks, name
-            assert "det_state" in hooks, name
-
-    def test_known_certificates_hold(self, report):
-        cc = report["classes"]["ChannelController"]
-        assert cc["next_wake"]["classification"] == "window-invariant"
-        assert cc["can_accept"]["classification"] == "window-invariant"
-        assert cc["account_idle"]["classification"] == "monotone-accumulating"
-        assert cc["step"]["classification"] == "per-cycle-only"
-        core = report["classes"]["OutOfOrderCore"]
-        assert core["skip_plan"]["classification"] == "window-invariant"
-        assert core["step"]["classification"] == "per-cycle-only"
-        assert (report["schedulers"]["fcfs"]["select"]["classification"]
-                == "window-invariant")
-
-    def test_every_entry_is_fully_classified(self, report):
-        kinds = {"window-invariant", "monotone-accumulating",
-                 "per-cycle-only"}
-        groups = list(report["classes"].values())
-        groups += list(report["schedulers"].values())
-        for hooks in groups:
-            for entry in hooks.values():
-                assert entry["classification"] in kinds
-                assert entry["line"] > 0
-                assert entry["path"]
-
-
-# ------------------------------------------------------------ incremental cache
-
-
-class TestIncrementalCache:
-    """Shard-wise cache: correct reuse, correct invalidation."""
-
-    def _tree(self, root):
-        pkg = root / "pkg"
-        for d in (pkg, pkg / "one", pkg / "two"):
-            d.mkdir(parents=True, exist_ok=True)
-            (d / "__init__.py").write_text("")
-        (pkg / "one" / "timing.py").write_text(
-            "def f(cpu_now, dram_now):\n    return cpu_now - dram_now\n"
-        )
-        (pkg / "two" / "uses.py").write_text(
-            "from pkg.one.timing import f\n\n\n"
-            "def g(cpu_now):\n    return f(cpu_now, 0)\n"
-        )
-        return pkg
-
-    def test_cold_then_warm_reuses_every_shard(self, tmp_path):
-        from repro.analysis.inccache import analyze_paths_cached
-
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        cold = analyze_paths_cached([pkg], cache_dir=cache)
-        assert not cold.hits and len(cold.misses) == 3
-        assert [f.rule for f in cold.report.findings] == ["SEM001"]
-
-        warm = analyze_paths_cached([pkg], cache_dir=cache)
-        assert not warm.misses and len(warm.hits) == 3
-        assert ([(f.rule, f.path, f.line) for f in warm.report.findings]
-                == [(f.rule, f.path, f.line) for f in cold.report.findings])
-        # Matches the whole-program answer.
-        whole = analyze_paths([pkg])
-        assert ([(f.rule, f.line) for f in whole.findings]
-                == [(f.rule, f.line) for f in warm.report.findings])
-
-    def test_single_file_change_invalidates_only_dependents(self, tmp_path):
-        from repro.analysis.inccache import analyze_paths_cached
-
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        analyze_paths_cached([pkg], cache_dir=cache)
-
-        # Editing the leaf package invalidates exactly its own shard.
-        leaf = pkg / "two" / "uses.py"
-        leaf.write_text(leaf.read_text() + "\n# touched\n")
-        after = analyze_paths_cached([pkg], cache_dir=cache)
-        assert after.misses == [str((pkg / "two").resolve())]
-        assert len(after.hits) == 2
-
-        # Editing a depended-on package also invalidates its importers.
-        base = pkg / "one" / "timing.py"
-        base.write_text(
-            "def f(cpu_now, dram_wake, cpu_ratio):\n"
-            "    return cpu_now - dram_wake * cpu_ratio\n"
-        )
-        fixed = analyze_paths_cached([pkg], cache_dir=cache)
-        assert set(fixed.misses) == {
-            str((pkg / "one").resolve()), str((pkg / "two").resolve()),
-        }
-        assert not fixed.report.findings
-
-    def test_select_is_part_of_the_key(self, tmp_path):
-        from repro.analysis.inccache import analyze_paths_cached
-
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        analyze_paths_cached([pkg], cache_dir=cache)
-        narrowed = analyze_paths_cached(
-            [pkg], select={"SEM021"}, cache_dir=cache
-        )
-        assert len(narrowed.misses) == 3
-        assert not narrowed.report.findings
 
 
 # -------------------------------------------------------------- inline sources

@@ -217,14 +217,9 @@ class TestTornTailDeterministic:
 
             return step
 
-        # Cover every engine's DRAM clocking path (naive/fast use step,
-        # the event engine uses step_event).
+        # Both engines clock DRAM through MemorySystem.step.
         monkeypatch.setattr(
             system.memory, "step", exploding(system.memory.step)
-        )
-        monkeypatch.setattr(
-            system.memory, "step_event",
-            exploding(system.memory.step_event),
         )
         with pytest.raises(RuntimeError, match="injected"):
             system.run()
