@@ -20,7 +20,10 @@ def run_and_report(benchmark, run_fn, **kwargs):
 
     Alongside each table, a ``<id>.metrics.jsonl`` records the engine's
     per-run observability (wall seconds, simulated cycles/sec, and whether
-    each run was simulated or served from the disk cache).
+    each run was simulated or served from the disk cache).  A run served
+    from the experiments' in-process memo (a baseline an earlier figure
+    already fetched) records nothing: memo hits no longer appear as
+    ``disk`` metrics.
     """
     from repro.sim import engine
 

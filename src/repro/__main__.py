@@ -22,12 +22,17 @@
     python -m repro watch ROOT --run ID            # drill into one fleet run
 
 ``run`` and ``experiment`` accept engine flags: ``--jobs N`` (worker
-processes), ``--no-cache`` (bypass the on-disk result cache),
-``--no-skip`` (force the cycle-by-cycle loop), ``--verify-skip``
-(run everything twice and assert fast-forwarded results are
-bit-identical), and ``--stream DIR`` (spill telemetry to a stream
-directory during the run).  Each is the CLI face of the corresponding
-``REPRO_*`` environment variable.
+processes; ``--no-cache`` sweeps use them too), ``--no-cache`` (bypass
+the on-disk result cache), ``--engine naive|fast`` (the loop;
+bit-identical), ``--verify-skip`` (run everything twice and assert
+fast-forwarded results are bit-identical), and ``--stream DIR`` (spill
+telemetry to a stream directory during the run).  Each is the CLI face
+of the corresponding ``REPRO_*`` environment variable.
+
+Every numeric knob and ``REPRO_ENGINE`` is read once before a command
+runs; a bad value (``REPRO_JOBS=x``, ``REPRO_DETCHAIN_EVERY=-5``) exits
+with status 2 and one line naming the knob.  An unknown app exits 2
+with argparse's usage error.
 """
 
 from __future__ import annotations
@@ -37,16 +42,19 @@ import os
 import sys
 
 from repro.sim.system import ENGINES
+from repro.workloads.parallel import PARALLEL_APP_NAMES
 
 
-def _apply_engine_flags(args) -> None:
-    """Translate engine CLI flags into the env vars the runner reads."""
+def _apply_flags(args) -> None:
+    """Translate CLI flags into the env vars the runner reads."""
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if getattr(args, "no_cache", False):
         os.environ["REPRO_NO_CACHE"] = "1"
-    if getattr(args, "no_skip", False):
-        os.environ["REPRO_NO_SKIP"] = "1"
+    if getattr(args, "sample_every", None):
+        os.environ["REPRO_SAMPLE_EVERY"] = str(args.sample_every)
+    if getattr(args, "cap", None):
+        os.environ["REPRO_TRACE_CAP"] = str(args.cap)
     if getattr(args, "engine", None):
         os.environ["REPRO_ENGINE"] = args.engine
     if getattr(args, "verify_skip", False):
@@ -62,9 +70,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache "
                              "(env REPRO_NO_CACHE)")
-    parser.add_argument("--no-skip", action="store_true",
-                        help="disable cycle fast-forwarding "
-                             "(env REPRO_NO_SKIP)")
     parser.add_argument("--engine", default=None, choices=ENGINES,
                         help="simulation loop: naive cycle-by-cycle, or "
                              "fast (skip quiet windows; the default) — "
@@ -215,8 +220,6 @@ def _cmd_stats(args) -> int:
         timeseries_to_csv,
     )
 
-    if args.sample_every:
-        os.environ["REPRO_SAMPLE_EVERY"] = str(args.sample_every)
     # Telemetry config is part of the cache key, but a run cached before
     # this command existed would satisfy the spec without series; bypass.
     os.environ.setdefault("REPRO_NO_CACHE", "1")
@@ -296,8 +299,6 @@ def _cmd_trace(args) -> int:
               file=sys.stderr)
         return 2
     os.environ["REPRO_TRACE"] = "1"
-    if args.cap:
-        os.environ["REPRO_TRACE_CAP"] = str(args.cap)
     os.environ.setdefault("REPRO_NO_CACHE", "1")
     result = _run_for_telemetry(args)
 
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads, schedulers, experiments")
 
     run_p = sub.add_parser("run", help="run one parallel workload")
-    run_p.add_argument("app")
+    run_p.add_argument("app", choices=PARALLEL_APP_NAMES)
     run_p.add_argument("--scheduler", default="casras-crit")
     run_p.add_argument("--cbp", type=int, default=64,
                        help="CBP entries (0 disables the predictor)")
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p = sub.add_parser(
         "stats", help="run one workload and print telemetry summaries"
     )
-    stats_p.add_argument("app")
+    stats_p.add_argument("app", choices=PARALLEL_APP_NAMES)
     stats_p.add_argument("--scheduler", default="fr-fcfs")
     stats_p.add_argument("--cbp", type=int, default=64,
                          help="CBP entries (0 disables the predictor)")
@@ -426,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one workload with the event trace enabled"
     )
     trace_p.add_argument("app", nargs="?", default=None,
+                         choices=PARALLEL_APP_NAMES,
                          help="workload to run (omit with --from-stream)")
     trace_p.add_argument("--scheduler", default="fr-fcfs")
     trace_p.add_argument("--cbp", type=int, default=64,
@@ -496,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile one workload run and attribute time per component",
     )
-    prof_p.add_argument("app", help="parallel workload to profile")
+    prof_p.add_argument("app", choices=PARALLEL_APP_NAMES,
+                        help="parallel workload to profile")
     prof_p.add_argument("--scheduler", default="fr-fcfs")
     prof_p.add_argument("--cbp", type=int, default=0,
                         help="CBP entries (0 disables the predictor)")
@@ -523,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check-determinism",
         help="compare determinism hash-chains across loop modes and processes",
     )
-    det_p.add_argument("app", help="parallel workload to check")
+    det_p.add_argument("app", choices=PARALLEL_APP_NAMES,
+                       help="parallel workload to check")
     det_p.add_argument("--scheduler", default="fr-fcfs")
     det_p.add_argument("--instructions", type=int, default=4_000)
     det_p.add_argument("--seed", type=int, default=1)
@@ -536,14 +540,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_knobs() -> None:
+    """Read the engine and every numeric knob once, up front, so a bad
+    value fails here (``ValueError`` naming the knob), not mid-sweep."""
+    from repro.analysis import detchain, effectcheck, protocol
+    from repro.experiments.common import default_seeds, experiment_scale
+    from repro.sim.engine import resolve_jobs
+    from repro.sim.system import System
+    from repro.telemetry import sampler, stream, trace
+
+    System.resolve_engine(None)
+    experiment_scale()
+    default_seeds()
+    resolve_jobs(None)
+    trace.capacity()
+    stream.segment_records()
+    stream.flush_every()
+    sampler.interval()
+    detchain.interval()
+    effectcheck.check_every()
+    protocol.starvation_knob()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_engine_flags(args)
-    engine = os.environ.get("REPRO_ENGINE", "").strip()
-    if engine and engine not in ENGINES:
+    _apply_flags(args)
+    try:
+        _read_knobs()
+    except ValueError as exc:
         # Same contract as a bad --engine: one line, exit 2, no traceback.
-        print(f"error: unknown REPRO_ENGINE {engine!r}; expected one of: "
-              f"{', '.join(ENGINES)}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     handlers = {
         "list": _cmd_list,

@@ -23,7 +23,7 @@ settled lazily by ``flush_skip`` and are therefore excluded.
 
 from __future__ import annotations
 
-import os
+from repro.util import env_int
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -36,16 +36,7 @@ _CHECKPOINT_CAP = 4096
 
 def interval() -> int:
     """Sampling period in CPU cycles from the environment (0 = disabled)."""
-    raw = os.environ.get("REPRO_DETCHAIN_EVERY", "")
-    if not raw:
-        return 1024
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_DETCHAIN_EVERY must be an integer, got {raw!r}"
-        ) from None
-    return max(0, value)
+    return env_int("REPRO_DETCHAIN_EVERY", 1024, 0)
 
 
 class DetChain:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import os
 
+from repro.util import env_int
+
 ENV_ENABLE = "REPRO_VERIFY_EFFECTS"
 ENV_EVERY = "REPRO_VERIFY_EFFECTS_EVERY"
 
@@ -37,12 +39,9 @@ def enabled() -> bool:
     return os.environ.get(ENV_ENABLE, "") not in ("", "0")
 
 
-def _env_every() -> int:
-    raw = os.environ.get(ENV_EVERY, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+def check_every() -> int:
+    """Check every Nth certified call (``REPRO_VERIFY_EFFECTS_EVERY``)."""
+    return env_int(ENV_EVERY, 1, 1)
 
 
 def _wrap(obj, method_name: str, state_fn, label: str, every: int) -> None:
@@ -72,7 +71,7 @@ def _wrap(obj, method_name: str, state_fn, label: str, every: int) -> None:
 def instrument_system(system, every: int | None = None) -> int:
     """Bracket every certified-pure hook on ``system`` with det_state
     snapshots.  Returns the number of methods wrapped."""
-    every = _env_every() if every is None else max(1, int(every))
+    every = check_every() if every is None else max(1, int(every))
     wrapped = 0
     for channel in system.memory.channels:
         label = f"channel{channel.channel_id}"

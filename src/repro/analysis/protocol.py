@@ -41,6 +41,7 @@ import os
 from collections import deque
 
 from repro.config import DramConfig
+from repro.util import env_int
 
 _NEVER = -(1 << 60)
 
@@ -51,6 +52,11 @@ class ProtocolViolation(AssertionError):
 
 def sanitize_enabled() -> bool:
     return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+
+
+def starvation_knob(default: int = 10) -> int:
+    """Starvation multiplier: ``REPRO_SANITIZE_STARVATION``, else ``default``."""
+    return env_int("REPRO_SANITIZE_STARVATION", default, 1)
 
 
 def maybe_attach(controller) -> "ProtocolSanitizer | None":
@@ -104,9 +110,10 @@ class ProtocolSanitizer:
         self.bus_last_rank = -1
         self.checks = 0
         self.commands = 0
-        env = os.environ.get("REPRO_SANITIZE_STARVATION", "")
-        factor = int(env) if env else starvation_factor
-        self.starvation_limit = factor * config.starvation_cap_dram_cycles
+        self.starvation_limit = (
+            starvation_knob(starvation_factor)
+            * config.starvation_cap_dram_cycles
+        )
         self.max_read_wait = 0
 
     # -- internals ----------------------------------------------------------

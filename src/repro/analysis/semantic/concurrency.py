@@ -99,12 +99,17 @@ FORK_LOCAL_GLOBALS: dict[tuple[str, str], str] = {
 #: rather than reading ``os.environ`` ad hoc, so the env surface that
 #: can diverge from the parent's cache key stays enumerable.
 ENV_ACCESSORS: dict[str, str] = {
+    "repro.util.env_int":
+        "the one integer-knob reader: trace capacity and sampling "
+        "interval are in the telemetry fingerprint the parent hashed; "
+        "det-chain cadence is part of the determinism contract either "
+        "side of the fork; stream, effect-check and sanitizer knobs are "
+        "non-key debug/observability settings",
     "repro.sim.engine.run_one":
         "the per-spec env bridge: exports RunSpec.stream_dir/.engine as "
         "REPRO_STREAM_DIR/REPRO_ENGINE for the run and restores after",
     "repro.sim.runner._env_flag":
-        "the sanctioned boolean-knob reader (REPRO_NO_SKIP, "
-        "REPRO_VERIFY_SKIP)",
+        "the sanctioned boolean-knob reader (REPRO_VERIFY_SKIP)",
     "repro.sim.runner._run_system":
         "lifts REPRO_STREAM_DIR/REPRO_FLEET_DIR around the verify-skip "
         "cross-check so the reference run cannot clobber the stream",
@@ -114,32 +119,19 @@ ENV_ACCESSORS: dict[str, str] = {
     "repro.telemetry.stream.stream_dir":
         "streaming mirrors telemetry to disk, never changes results; "
         "part of the documented non-key env surface",
-    "repro.telemetry.stream._positive_int_env":
-        "segment-size/flush knobs for the stream writer (non-key)",
     "repro.telemetry.trace.enabled":
         "trace on/off is in the telemetry fingerprint the parent hashed "
         "into the cache key, so worker and key agree by construction",
-    "repro.telemetry.trace.capacity":
-        "trace ring capacity; in the telemetry fingerprint (see above)",
-    "repro.telemetry.sampler.interval":
-        "sampling interval; in the telemetry fingerprint (see above)",
     "repro.telemetry.perfcounters.enabled":
         "host-side perf counters are a pure side channel, excluded from "
         "fingerprints and the cache key by design",
     "repro.telemetry.fleet.fleet_root":
         "fleet registration is host-side bookkeeping, excluded from the "
         "cache key like REPRO_STREAM_DIR",
-    "repro.analysis.detchain.interval":
-        "det-chain checkpoint cadence; part of the determinism contract "
-        "either side of the fork",
     "repro.analysis.effectcheck.enabled":
         "runtime effect verification toggle (debug harness, non-key)",
-    "repro.analysis.effectcheck._env_every":
-        "effect-verification cadence (debug harness, non-key)",
     "repro.analysis.protocol.sanitize_enabled":
         "protocol sanitizer toggle (debug harness, non-key)",
-    "repro.analysis.protocol.ProtocolSanitizer.__init__":
-        "starvation-threshold knob for the sanitizer (debug harness)",
 }
 
 #: Function qualname -> rationale: writers allowed to bypass the atomic

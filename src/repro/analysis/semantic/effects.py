@@ -26,19 +26,7 @@ Summaries are computed by fixpoint over the call graph: ``self.x()``
 merges the callee's effects directly; calls on receivers whose class is
 known by convention (:data:`~repro.analysis.semantic.domains.VAR_CLASS_SEEDS`,
 loop targets over seeded attributes) fold the callee's self-mutations in
-as *foreign* effects, preserving monotonicity — so
-``MemorySystem.fast_forward`` inherits ``account_idle``'s
-monotone-accumulating character instead of degrading to unknown.
-
-From the summary each per-cycle hook is classified (see
-:func:`classify`):
-
-* ``window-invariant`` — no mutation/rng/io: safe to evaluate at any
-  visited cycle, or not at all;
-* ``monotone-accumulating`` — every mutation is an additive
-  accumulation (``+=``), so a skipped window can be folded in closed
-  form (as ``account_idle`` does);
-* ``per-cycle-only`` — anything else.
+as *foreign* effects.
 
 Rules:
 
@@ -80,11 +68,6 @@ from repro.analysis.semantic.modgraph import (
 
 SEM030 = "SEM030"
 SEM031 = "SEM031"
-
-#: Certificate classifications (see :func:`classify`).
-WINDOW_INVARIANT = "window-invariant"
-MONOTONE_ACCUMULATING = "monotone-accumulating"
-PER_CYCLE_ONLY = "per-cycle-only"
 
 #: Methods expected PURE/READS wherever they appear on an audited
 #: simulator class: the fast engine evaluates them only at the cycles
@@ -129,8 +112,6 @@ class FnEffects:
     rng: bool = False
     io: bool = False
     cycle: bool = False
-    #: True when any recorded mutation is not an additive accumulation.
-    nonmonotone: bool = False
 
     @property
     def pure(self) -> bool:
@@ -147,22 +128,6 @@ class FnEffects:
         if self.io:
             parts.append("performs io")
         return "; ".join(parts) or "pure"
-
-
-def classify(eff: FnEffects) -> str:
-    """Certificate class for one effect summary.
-
-    Cycle-dependence does not demote a method: a pure function of
-    ``now`` re-evaluates identically for a fixed argument, which is
-    what skipping needs.
-    """
-    if eff.rng or eff.io:
-        return PER_CYCLE_ONLY
-    if not eff.mutates and not eff.foreign:
-        return WINDOW_INVARIANT
-    if not eff.nonmonotone:
-        return MONOTONE_ACCUMULATING
-    return PER_CYCLE_ONLY
 
 
 def _call_chain(node: ast.AST) -> list[str]:
@@ -194,7 +159,6 @@ class _EffectScan:
         self.rng = False
         self.io = False
         self.cycle = False
-        self.nonmonotone = False
         self.aliases = self._self_aliases()
         self.var_classes = self._var_classes()
         params = set(func.params) - {"self", "cls"}
@@ -317,10 +281,10 @@ class _EffectScan:
             return f"{node.id}.{attr}" if attr else f"{node.id}[...]"
         return None
 
-    def _record_store(self, target: ast.AST, monotone: bool) -> None:
+    def _record_store(self, target: ast.AST) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._record_store(elt, monotone)
+                self._record_store(elt)
             return
         if isinstance(target, ast.Name):
             return  # local rebind, not an object mutation
@@ -329,14 +293,10 @@ class _EffectScan:
         roots = self._store_roots(target)
         if roots:
             self.mutates |= roots
-            if not monotone:
-                self.nonmonotone = True
             return
         desc = self._foreign_desc(target)
         if desc is not None:
             self.foreign.add(desc)
-            if not monotone:
-                self.nonmonotone = True
 
     def _merge_callee(
         self, callee: FunctionInfo, foreign_recv: str | None
@@ -372,12 +332,10 @@ class _EffectScan:
             roots = self._store_roots(fn.value)
             if roots:
                 self.mutates |= roots
-                self.nonmonotone = True
             else:
                 desc = self._foreign_desc(fn.value)
                 if desc is not None:
                     self.foreign.add(f"{desc}.{fn.attr}()")
-                    self.nonmonotone = True
             return
         recv = fn.value
         if isinstance(recv, ast.Name) and recv.id == "self":
@@ -396,18 +354,13 @@ class _EffectScan:
 
     def run(self) -> FnEffects:
         for node in ast.walk(self.func.node):
-            if isinstance(node, ast.Assign):
+            if isinstance(node, (ast.Assign, ast.Delete)):
                 for target in node.targets:
-                    self._record_store(target, monotone=False)
+                    self._record_store(target)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._record_store(node.target, monotone=False)
+                self._record_store(node.target)
             elif isinstance(node, ast.AugAssign):
-                self._record_store(
-                    node.target, monotone=isinstance(node.op, ast.Add)
-                )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    self._record_store(target, monotone=False)
+                self._record_store(node.target)
             elif isinstance(node, ast.Call):
                 self._record_call(node)
             elif isinstance(node, ast.Name) and isinstance(
@@ -426,7 +379,6 @@ class _EffectScan:
             rng=self.rng,
             io=self.io,
             cycle=self.cycle,
-            nonmonotone=self.nonmonotone,
         )
 
 
@@ -453,8 +405,7 @@ def infer_effects(graph: ModuleGraph) -> dict[str, FnEffects]:
             base = local[qualname]
             mutates = set(base.mutates)
             foreign = set(base.foreign)
-            rng, io = base.rng, base.io
-            cycle, nonmono = base.cycle, base.nonmonotone
+            rng, io, cycle = base.rng, base.io, base.cycle
             for callee, recv in edges[qualname]:
                 eff = table.get(callee)
                 if eff is None:
@@ -467,11 +418,10 @@ def infer_effects(graph: ModuleGraph) -> dict[str, FnEffects]:
                 rng = rng or eff.rng
                 io = io or eff.io
                 cycle = cycle or eff.cycle
-                nonmono = nonmono or eff.nonmonotone
             eff = FnEffects(
                 mutates=frozenset(mutates),
                 foreign=frozenset(foreign),
-                rng=rng, io=io, cycle=cycle, nonmonotone=nonmono,
+                rng=rng, io=io, cycle=cycle,
             )
             if table[qualname] != eff:
                 table[qualname] = eff

@@ -1,6 +1,7 @@
-"""Shared experiment machinery: run cache, seed averaging, result tables.
+"""Shared experiment machinery: run memo, seed averaging, result tables.
 
-Simulation runs are memoised process-wide, so the FR-FCFS baseline an
+Simulation runs are memoised process-wide by the engine's content key
+(:func:`repro.sim.engine.spec_key`), so the FR-FCFS baseline an
 experiment needs is computed once even when several figures share it.
 Scales are environment-tunable for the benchmark harness:
 
@@ -15,12 +16,14 @@ import os
 import statistics
 
 from repro.config import SimScale, SystemConfig
-from repro.sim.engine import RunSpec, run_one_cached
+from repro.sim import engine
+from repro.sim.engine import RunSpec, UnportableSpec, run_one_cached
+from repro.util import env_int
 from repro.workloads.parallel import PARALLEL_APP_NAMES
 
 
 def experiment_scale(seed: int = 1) -> SimScale:
-    instructions = int(os.environ.get("REPRO_INSTRUCTIONS", "12000"))
+    instructions = env_int("REPRO_INSTRUCTIONS", 12000, 1)
     warmup = max(500, instructions // 10)
     return SimScale(
         instructions_per_core=instructions, warmup_instructions=warmup, seed=seed
@@ -28,8 +31,7 @@ def experiment_scale(seed: int = 1) -> SimScale:
 
 
 def default_seeds() -> tuple[int, ...]:
-    n = int(os.environ.get("REPRO_SEEDS", "1"))
-    return tuple(range(1, n + 1))
+    return tuple(range(1, env_int("REPRO_SEEDS", 1, 1) + 1))
 
 
 def default_apps() -> tuple[str, ...]:
@@ -43,35 +45,12 @@ def default_apps() -> tuple[str, ...]:
 #: paper reports as averages only.
 SENSITIVITY_APPS = ("art", "fft", "mg", "swim")
 
+#: The run memo: ``spec_key`` -> result.
 _RUN_CACHE: dict = {}
 
 
 def clear_run_cache() -> None:
     _RUN_CACHE.clear()
-
-
-def _config_key(config: SystemConfig | None):
-    if config is None:
-        return None
-    d = config.dram
-    return (
-        config.cores,
-        config.core.load_queue_entries,
-        config.l1d.mshr_entries,
-        config.l2.mshr_entries,
-        config.prefetcher.enabled,
-        config.prefetcher.streams,
-        d.timings.name,
-        d.channels,
-        d.ranks_per_channel,
-    )
-
-
-def _provider_key(spec):
-    if spec is None or spec == "null":
-        return None
-    kind, kwargs = spec
-    return (kind, tuple(sorted((k, str(v)) for k, v in kwargs.items())))
 
 
 def cached_run(
@@ -86,34 +65,26 @@ def cached_run(
 ):
     """Run (or fetch) one simulation.
 
-    ``kind`` is "parallel", "bundle", or "alone".  Misses in the in-memory
-    memo fall through to the engine's content-addressed disk cache before
-    simulating (see :mod:`repro.sim.engine`).
+    ``kind`` is "parallel", "bundle", or "alone".  Misses in the memo fall
+    through to the engine's content-addressed disk cache before
+    simulating (see :mod:`repro.sim.engine`).  A spec with live objects
+    (a callable provider) cannot be keyed and runs uncached.
     """
-    key = (
-        kind,
-        workload,
-        scheduler,
-        _provider_key(provider_spec),
-        _config_key(config),
-        seed,
-        tuple(sorted((scheduler_kwargs or {}).items())),
-        slot,
-        int(os.environ.get("REPRO_INSTRUCTIONS", "12000")),
-    )
+    spec = _spec_for(kind, workload, scheduler, provider_spec, config, seed,
+                     scheduler_kwargs, slot)
+    try:
+        key = engine.spec_key(spec)
+    except UnportableSpec:
+        return run_one_cached(spec)
     result = _RUN_CACHE.get(key)
-    if result is not None:
-        return result
-    result = run_one_cached(
-        _spec_for(kind, workload, scheduler, provider_spec, config, seed,
-                  scheduler_kwargs, slot)
-    )
-    _RUN_CACHE[key] = result
+    if result is None:
+        result = _RUN_CACHE[key] = run_one_cached(spec)
     return result
 
 
-def _spec_for(kind, workload, scheduler, provider_spec, config, seed,
-              scheduler_kwargs, slot) -> RunSpec:
+def _spec_for(kind, workload, scheduler="fr-fcfs", provider_spec=None,
+              config=None, seed=1, scheduler_kwargs=None,
+              slot=None) -> RunSpec:
     if kind not in ("parallel", "bundle", "alone"):
         raise ValueError(f"unknown run kind {kind!r}")
     return RunSpec(
@@ -129,32 +100,27 @@ def _spec_for(kind, workload, scheduler, provider_spec, config, seed,
 
 
 def prefetch_runs(requests) -> None:
-    """Warm the cache for a batch of upcoming :func:`cached_run` calls.
+    """Fill the memo for a batch of upcoming :func:`cached_run` calls.
 
     ``requests`` are dicts of ``cached_run`` keyword arguments (``kind``
-    and ``workload`` required).  Misses are simulated concurrently on the
-    engine's worker pool and land in the disk cache, so the figure's
-    subsequent serial ``cached_run`` calls all hit.  Purely an
-    optimisation: results are identical with or without prefetching.
+    and ``workload`` required).  Runs not yet memoised go to one
+    :func:`~repro.sim.engine.run_many` call, which simulates its misses
+    concurrently on the engine's worker pool, with or without the disk
+    cache, so the figure's subsequent serial ``cached_run`` calls all
+    hit.  Purely an optimisation: results are identical with or without
+    prefetching.
     """
-    from repro.sim.engine import run_many
-
-    if os.environ.get("REPRO_NO_CACHE", "") not in ("", "0"):
-        return  # nowhere to park the results: prefetching would double work
-    specs = [
-        _spec_for(
-            req["kind"],
-            req["workload"],
-            req.get("scheduler", "fr-fcfs"),
-            req.get("provider_spec"),
-            req.get("config"),
-            req.get("seed", 1),
-            req.get("scheduler_kwargs"),
-            req.get("slot"),
-        )
-        for req in requests
-    ]
-    run_many(specs)
+    todo: dict[str, RunSpec] = {}
+    for req in requests:
+        spec = _spec_for(**req)
+        try:
+            key = engine.spec_key(spec)
+        except UnportableSpec:
+            continue  # runs inline, uncached, when its cached_run comes
+        if key not in _RUN_CACHE:
+            todo[key] = spec
+    for key, result in zip(todo, engine.run_many(todo.values())):
+        _RUN_CACHE[key] = result
 
 
 def mean_speedup(app, scheduler, provider_spec, config=None, seeds=None,

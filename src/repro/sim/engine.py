@@ -1,8 +1,9 @@
 """Parallel, disk-cached experiment engine.
 
-One simulation = one :class:`RunSpec`.  ``run_many`` deduplicates specs,
-satisfies what it can from the on-disk result cache, and fans the misses
-out over a pool of worker processes; ``run_one`` executes a single spec
+One simulation = one :class:`RunSpec`.  ``run_many`` is the one lookup
+path: it deduplicates specs, satisfies what it can from the on-disk
+result cache, and fans the misses out over a pool of worker processes
+(also when the cache is off); ``run_one`` executes a single spec
 in-process.  Every run records wall-clock observability on its result
 (``SimResult.wall_seconds`` / ``cycles_per_second``) and in the module's
 ``last_metrics`` list.
@@ -13,18 +14,20 @@ plus a hash of the simulator's own source files, so editing the model
 invalidates every cached result automatically.  The telemetry
 configuration fingerprint (sampling interval, trace on/off and capacity)
 is part of the key too: a run cached without sampling must not satisfy a
-request that expects time-series on the result.  Since every loop
-implementation (naive, fast) is bit-identical, the engine
-selection (``RunSpec.engine`` / ``REPRO_ENGINE``) and the skip setting
-are deliberately *not* part of the key — and neither is the telemetry
-*streaming* configuration (``REPRO_STREAM_DIR`` / ``RunSpec.stream_dir``),
-which only mirrors telemetry to disk.
+request that expects time-series on the result.  ``config=None`` is
+keyed as the default machine it runs on, so it shares a slot with the
+same machine spelled out.  Since every loop implementation (naive, fast)
+is bit-identical, the engine selection (``RunSpec.engine`` /
+``REPRO_ENGINE``) is deliberately *not* part of the key — and neither is
+the telemetry *streaming* configuration (``REPRO_STREAM_DIR`` /
+``RunSpec.stream_dir``), which only mirrors telemetry to disk.
 
 Environment knobs:
 
 * ``REPRO_CACHE_DIR``     — cache directory (default ``~/.cache/repro-sim``);
 * ``REPRO_NO_CACHE=1``    — bypass the disk cache entirely;
-* ``REPRO_JOBS``          — worker processes for ``run_many`` (default: CPUs);
+* ``REPRO_JOBS``          — worker processes for ``run_many`` (default: CPUs;
+  a value that is not a positive integer raises ``ValueError``);
 * ``REPRO_CODE_VERSION``  — override the code-version hash (tests);
 * ``REPRO_RUN_LOG``       — append one JSON line of metrics per run.
 """
@@ -43,7 +46,7 @@ from pathlib import Path
 from repro.config import DEFAULT_SCALE, SimScale, SystemConfig
 from repro.sim.stats import SimResult
 from repro.telemetry import config_fingerprint as _telemetry_fingerprint
-from repro.util import atomicio
+from repro.util import atomicio, env_int
 
 #: Per-run observability records (append-only): dicts with label, key,
 #: source ("run" | "disk"), wall_s, cycles, and cycles_per_sec.  Clear
@@ -74,9 +77,12 @@ class RunSpec:
     explain why no stream is coming.
 
     ``engine`` pins the loop implementation (``naive``/``fast``) for
-    this run; ``None`` defers to ``REPRO_ENGINE`` and the default.  Like the skip setting, it is *not* part of the cache
-    key: all engines produce bit-identical results, so they share one
-    cache slot.
+    this run; ``None`` defers to ``REPRO_ENGINE`` and the default.  It is
+    *not* part of the cache key: all engines produce bit-identical
+    results, so they share one cache slot.
+
+    ``config=None`` means the kind's default machine (see
+    :meth:`machine`).
     """
 
     kind: str  # "parallel" | "bundle" | "alone"
@@ -90,6 +96,14 @@ class RunSpec:
     label: str | None = None
     stream_dir: str | None = None
     engine: str | None = None
+
+    def machine(self) -> SystemConfig:
+        """The machine this spec runs on: ``config``, or the kind's default."""
+        if self.config is not None:
+            return self.config
+        if self.kind == "parallel":
+            return SystemConfig.parallel_default()
+        return SystemConfig.multiprogrammed_default()
 
 
 # --------------------------------------------------------------- cache keys
@@ -153,7 +167,7 @@ def spec_key(spec: RunSpec) -> str:
             "workload": spec.workload,
             "scheduler": spec.scheduler,
             "provider_spec": _canon(spec.provider_spec),
-            "config": _canon(spec.config),
+            "config": _canon(spec.machine()),
             "scale": _canon(spec.scale),
             "scheduler_kwargs": _canon(spec.scheduler_kwargs or {}),
             "slot": spec.slot,
@@ -277,7 +291,7 @@ def _dispatch(spec: RunSpec) -> SimResult:
             spec.workload,
             spec.scheduler,
             spec.provider_spec,
-            spec.config,
+            spec.machine(),
             spec.scale,
             spec.scheduler_kwargs,
             spec.label,
@@ -287,7 +301,7 @@ def _dispatch(spec: RunSpec) -> SimResult:
             spec.workload,
             spec.scheduler,
             spec.provider_spec,
-            spec.config,
+            spec.machine(),
             spec.scale,
             spec.scheduler_kwargs,
             spec.label,
@@ -299,7 +313,7 @@ def _dispatch(spec: RunSpec) -> SimResult:
             spec.workload,
             spec.slot,
             spec.scheduler,
-            spec.config,
+            spec.machine(),
             spec.scale,
             spec.provider_spec,
             spec.scheduler_kwargs,
@@ -325,28 +339,14 @@ def _mark_cache_replay(spec: RunSpec) -> None:
 
 
 def run_one_cached(spec: RunSpec, cache: bool | None = None) -> SimResult:
-    """``run_one`` behind the disk cache (serial path)."""
-    try:
-        key = spec_key(spec)
-    except UnportableSpec:
-        return run_one(spec)
-    if _cache_enabled(cache):
-        hit = load_cached(key)
-        if hit is not None:
-            _record(spec, key, hit, source="disk")
-            _mark_cache_replay(spec)
-            return hit
-    result = run_one(spec)
-    _record(spec, key, result, source="run")
-    if _cache_enabled(cache):
-        store_cached(key, result)
-    return result
+    """One spec through :func:`run_many`, in this process."""
+    return run_many([spec], jobs=1, cache=cache)[0]
 
 
-def _resolve_jobs(jobs: int | None) -> int:
+def resolve_jobs(jobs: int | None) -> int:
+    """Worker count: ``jobs``, else ``REPRO_JOBS``, else every CPU."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
+        return env_int("REPRO_JOBS", os.cpu_count() or 1, 1)
     return max(1, jobs)
 
 
@@ -391,7 +391,7 @@ def run_many(
         pending.setdefault(key, []).append(i)
 
     todo = list(pending.items())
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     if len(todo) > 1 and jobs > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -450,36 +450,20 @@ def verify_determinism(spec: RunSpec, subprocess: bool = True) -> dict:
     :func:`repro.analysis.detchain.first_divergence`.
     """
     from repro.analysis.detchain import first_divergence
-    from repro.sim.runner import _resolve_engine
     from repro.sim.stats import result_fingerprint
+    from repro.sim.system import ENGINES, System
 
-    ref_engine = spec.engine or _resolve_engine()
+    ref_engine = System.resolve_engine(spec.engine)
     reference = run_one(spec)
-    comparisons: list[tuple[str, SimResult]] = []
-
-    # REPRO_NO_SKIP would force the comparison run back to the naive
-    # loop, making the cross-engine check vacuous; lift it while the
-    # explicitly-pinned engine runs.
-    saved = os.environ.pop("REPRO_NO_SKIP", None)
-    try:
-        from repro.sim.system import ENGINES
-
-        names = {
-            "naive": "naive cycle-by-cycle loop",
-            "fast": "fast-forwarding loop",
-        }
-        for engine in ENGINES:
-            if engine == ref_engine:
-                continue
-            comparisons.append(
-                (
-                    names[engine],
-                    run_one(dataclasses.replace(spec, engine=engine)),
-                )
-            )
-    finally:
-        if saved is not None:
-            os.environ["REPRO_NO_SKIP"] = saved
+    names = {
+        "naive": "naive cycle-by-cycle loop",
+        "fast": "fast-forwarding loop",
+    }
+    comparisons: list[tuple[str, SimResult]] = [
+        (names[engine], run_one(dataclasses.replace(spec, engine=engine)))
+        for engine in ENGINES
+        if engine != ref_engine
+    ]
 
     if subprocess:
         import multiprocessing
@@ -527,12 +511,6 @@ def _metric(spec: RunSpec, key: str | None, result: SimResult, source: str):
         "cycles": result.cycles,
         "cycles_per_sec": round(result.cycles_per_second, 1),
     }
-
-
-def _record(spec: RunSpec, key: str | None, result: SimResult, source: str):
-    metric = _metric(spec, key, result, source)
-    last_metrics.append(metric)
-    _write_run_log([metric])
 
 
 def _write_run_log(metrics) -> None:

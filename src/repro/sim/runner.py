@@ -4,7 +4,6 @@ Environment knobs (also settable via ``python -m repro`` flags):
 
 * ``REPRO_ENGINE``        — loop implementation: ``naive`` (cycle by
   cycle) or ``fast`` (skip quiet windows; default);
-* ``REPRO_NO_SKIP=1``     — force the cycle-by-cycle loop (no fast-forward);
 * ``REPRO_VERIFY_SKIP=1`` — run every simulation twice (the selected
   engine plus a reference engine) and assert bit-identical results.
 """
@@ -34,15 +33,6 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "") not in ("", "0")
 
 
-def _resolve_engine() -> str:
-    """The loop implementation the env knobs select for this run."""
-    if _env_flag("REPRO_NO_SKIP"):
-        return "naive"
-    from repro.sim.system import System
-
-    return System.resolve_engine(None)
-
-
 def _run_system(make_system, max_cycles: int) -> SimResult:
     """Run a system built by ``make_system()``, honouring the env knobs.
 
@@ -51,7 +41,7 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
     unless that is the engine under test, then ``fast``) and the two
     results are cross-checked for bit-identity.
     """
-    engine = _resolve_engine()
+    engine = System.resolve_engine(None)
     # Wall-clock observability only (the sanctioned host clock): never
     # feeds back into simulated state.
     start = hostclock.now()

@@ -12,7 +12,7 @@ determinism chain, result fingerprint, and streamed telemetry bytes):
   DESIGN.md §5.4 for the identity argument).
 
 Select with ``System.run(engine=...)``, ``REPRO_ENGINE``, or the
-``--engine`` CLI flag; ``REPRO_NO_SKIP=1`` forces ``naive``.
+``--engine`` CLI flag.
 """
 
 from __future__ import annotations
@@ -150,41 +150,35 @@ class System:
             effectcheck.instrument_system(self)
 
     @staticmethod
-    def resolve_engine(engine: str | None, skip_cycles: bool = True) -> str:
+    def resolve_engine(engine: str | None) -> str:
         """Pick the loop implementation: explicit argument, then the
-        ``REPRO_ENGINE`` environment knob, then the default (``fast``).
-        ``skip_cycles=False`` is the legacy spelling of ``naive``."""
+        ``REPRO_ENGINE`` environment knob, then the default (``fast``)."""
+        source = "engine"
         if engine is None:
-            if not skip_cycles:
-                return "naive"
             engine = os.environ.get("REPRO_ENGINE", "").strip() or "fast"
+            source = "REPRO_ENGINE"
         if engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {engine!r}: expected one of "
+                f"unknown {source} {engine!r}: expected one of "
                 + ", ".join(ENGINES)
             )
         return engine
 
     def run(
-        self,
-        max_cycles: int | None = None,
-        skip_cycles: bool = True,
-        engine: str | None = None,
+        self, max_cycles: int | None = None, engine: str | None = None
     ) -> SimResult:
         """Run every core's trace to completion; returns the results.
 
         ``engine`` selects the loop implementation (see the module
         docstring); both are bit-identical, so the choice only affects
-        wall clock.  ``skip_cycles=False`` forces the plain
-        cycle-by-cycle loop (the reference for the cross-check mode) and
-        is equivalent to ``engine="naive"``.
+        wall clock.
 
         When a streaming writer is attached (``REPRO_STREAM_DIR``) the
         stream is finalized on success and aborted — torn tail removed,
         manifest marked ``failed`` — on any failure, so a crashed run
         never leaves an ambiguous half-written stream behind.
         """
-        skip = self.resolve_engine(engine, skip_cycles) == "fast"
+        skip = self.resolve_engine(engine) == "fast"
         stream = self.telemetry.stream
         if stream is None:
             return self._run_impl(max_cycles, skip)

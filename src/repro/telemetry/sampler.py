@@ -18,7 +18,7 @@ of the sample count, hence mode- and process-invariant.
 
 from __future__ import annotations
 
-import os
+from repro.util import env_int
 
 #: Sample lists longer than this are decimated to stay bounded.
 _SAMPLE_CAP = 4096
@@ -26,16 +26,7 @@ _SAMPLE_CAP = 4096
 
 def interval() -> int:
     """Sampling period in CPU cycles from the environment (0 = disabled)."""
-    raw = os.environ.get("REPRO_SAMPLE_EVERY", "")
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SAMPLE_EVERY must be an integer, got {raw!r}"
-        ) from None
-    return max(0, value)
+    return env_int("REPRO_SAMPLE_EVERY", 0, 0)
 
 
 class IntervalSampler:

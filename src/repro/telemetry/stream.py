@@ -47,7 +47,7 @@ import os
 from pathlib import Path
 
 from repro.telemetry import trace as trace_mod
-from repro.util import atomicio
+from repro.util import atomicio, env_int
 
 MANIFEST_NAME = "MANIFEST.json"
 
@@ -79,27 +79,14 @@ def enabled() -> bool:
     return stream_dir() is not None
 
 
-def _positive_int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
 def segment_records() -> int:
     """Records per segment before an automatic seal (count-pure)."""
-    return _positive_int_env("REPRO_STREAM_SEGMENT", _DEFAULT_SEGMENT_RECORDS)
+    return env_int("REPRO_STREAM_SEGMENT", _DEFAULT_SEGMENT_RECORDS, 1)
 
 
 def flush_every() -> int:
     """Virtual-cycle flush cadence in CPU cycles."""
-    return _positive_int_env("REPRO_STREAM_FLUSH_EVERY", _DEFAULT_FLUSH_EVERY)
+    return env_int("REPRO_STREAM_FLUSH_EVERY", _DEFAULT_FLUSH_EVERY, 1)
 
 
 # ------------------------------------------------------------------ writer

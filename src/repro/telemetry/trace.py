@@ -25,6 +25,8 @@ import json
 import os
 from collections import deque
 
+from repro.util import env_int
+
 #: Raw-event tags (first tuple element).
 CMD, BLOCK, PRED, CACHE = "cmd", "block", "pred", "cache"
 
@@ -39,18 +41,7 @@ def enabled() -> bool:
 
 
 def capacity() -> int:
-    raw = os.environ.get("REPRO_TRACE_CAP", "")
-    if not raw:
-        return _DEFAULT_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TRACE_CAP must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_TRACE_CAP must be positive, got {value}")
-    return value
+    return env_int("REPRO_TRACE_CAP", _DEFAULT_CAP, 1)
 
 
 class TraceRecorder:

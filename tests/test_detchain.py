@@ -145,8 +145,8 @@ class TestSkipIdentity:
     ], ids=lambda c: c.get("app", "fft") + "/" + c.get("scheduler", "fr-fcfs"))
     def test_skip_equals_naive(self, case, monkeypatch):
         monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "256")
-        naive = make_system(**case).run(skip_cycles=False)
-        fast = make_system(**case).run(skip_cycles=True)
+        naive = make_system(**case).run(engine="naive")
+        fast = make_system(**case).run(engine="fast")
         assert naive.det_chain == fast.det_chain
         assert naive.det_checkpoints == fast.det_checkpoints
         assert naive.det_chain is not None

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from repro.config import SimScale
+from repro.config import PrefetcherConfig, SimScale, SystemConfig
 from repro.sim import engine
 from repro.sim.engine import (
     RunSpec,
@@ -76,6 +76,21 @@ class TestSpecKey:
         before = spec_key(_spec())
         monkeypatch.setenv("REPRO_CODE_VERSION", "deadbeef")
         assert spec_key(_spec()) != before
+
+    @pytest.mark.parametrize(
+        "kind, machine",
+        [
+            ("parallel", SystemConfig.parallel_default()),
+            ("bundle", SystemConfig.multiprogrammed_default()),
+            ("alone", SystemConfig.multiprogrammed_default()),
+        ],
+    )
+    def test_default_config_keys_as_its_machine(self, kind, machine):
+        """``config=None`` runs on the kind's default machine, so it
+        shares a key with that machine spelled out."""
+        assert spec_key(_spec(kind=kind)) == spec_key(
+            _spec(kind=kind, config=machine)
+        )
 
     def test_callable_provider_is_unportable(self):
         with pytest.raises(UnportableSpec):
@@ -162,6 +177,75 @@ class TestRunMany:
 
 
 class TestCachedRunIntegration:
+    @pytest.fixture
+    def memo(self, cache_dir, monkeypatch):
+        from repro.experiments import common
+
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "600")
+        common.clear_run_cache()
+        yield common
+        common.clear_run_cache()
+
+    def test_memo_is_keyed_by_spec_key(self, memo):
+        """Configs differing in a field no hand-built key listed
+        (the prefetch distance) are two runs, not one."""
+        def config(distance):
+            return SystemConfig.parallel_default().scaled(
+                prefetcher=PrefetcherConfig(enabled=True, distance=distance)
+            )
+
+        near = memo.cached_run("parallel", "fft", config=config(8))
+        far = memo.cached_run("parallel", "fft", config=config(64))
+        assert near is not far
+        assert set(memo._RUN_CACHE) == {
+            spec_key(memo._spec_for("parallel", "fft", config=config(d)))
+            for d in (8, 64)
+        }
+
+    def test_callable_provider_runs_uncached(self, memo):
+        from repro.core.provider import NullProvider
+
+        result = memo.cached_run(
+            "parallel", "fft", provider_spec=lambda core: NullProvider()
+        )
+        assert result.cycles > 0
+        assert not memo._RUN_CACHE
+
+    def test_no_cache_prefetch_is_one_batch(self, memo, monkeypatch):
+        """Under REPRO_NO_CACHE, prefetch_runs hands every spec to one
+        run_many call, and the cached_run calls after it simulate
+        nothing."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setenv("REPRO_JOBS", "1")  # keep run_one in-process
+        batches, runs = [], []
+        real_run_many, real_run_one = engine.run_many, engine.run_one
+
+        def counting_run_many(specs, *args, **kwargs):
+            specs = list(specs)
+            batches.append(len(specs))
+            return real_run_many(specs, *args, **kwargs)
+
+        def counting_run_one(spec):
+            runs.append(spec)
+            return real_run_one(spec)
+
+        monkeypatch.setattr(engine, "run_many", counting_run_many)
+        monkeypatch.setattr(engine, "run_one", counting_run_one)
+        requests = [
+            {"kind": "parallel", "workload": app, "scheduler": scheduler}
+            for app in ("fft", "radix")
+            for scheduler in ("fr-fcfs", "par-bs")
+        ]
+        memo.prefetch_runs(requests + requests[:1])
+        assert batches == [4]
+        assert len(runs) == 4
+        runs.clear()
+        for request in requests:
+            memo.cached_run(**request)
+        assert runs == []
+        memo.prefetch_runs(requests)
+        assert runs == []  # everything memoised: nothing re-simulated
+
     def test_cached_run_uses_disk_across_memo_clears(self, cache_dir,
                                                      monkeypatch):
         from repro.experiments import common

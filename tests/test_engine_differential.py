@@ -11,7 +11,8 @@ quiet window must clamp the jump exactly).
 
 The satellite regressions ride along: the shared-kwargs aliasing fix in
 ``make_provider_factory``, the stall guard in ``_fold_telemetry``, and
-the one-line CLI error for an unknown ``REPRO_ENGINE``.
+the exit-2 CLI errors for an unknown ``REPRO_ENGINE``, a bad numeric
+knob or an unknown app.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.config import SimScale, SystemConfig
 from repro.sched.registry import SCHEDULERS
 from repro.sim.stats import result_fingerprint
 from repro.sim.system import ENGINES, System, make_provider_factory
-from repro.workloads.parallel import parallel_traces
+from repro.workloads.parallel import PARALLEL_APP_NAMES, parallel_traces
 
 SCALE = SimScale(instructions_per_core=400, warmup_instructions=0, seed=11)
 
@@ -214,7 +215,6 @@ class TestEngineSelection:
     def test_resolve_engine_defaults_to_fast(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         assert System.resolve_engine(None) == "fast"
-        assert System.resolve_engine(None, skip_cycles=False) == "naive"
         assert System.resolve_engine("naive") == "naive"
 
     def test_resolve_engine_reads_env(self, monkeypatch):
@@ -225,27 +225,52 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             System.resolve_engine("warp")
 
-    @pytest.mark.parametrize("name", ("evnt", "event"))
-    def test_unknown_env_engine_fails_cleanly_on_the_cli(self, name):
+    @pytest.mark.parametrize(
+        "knobs, argv, expected",
+        [
+            pytest.param({"REPRO_ENGINE": name}, ["run", "fft"],
+                         [repr(name), *ENGINES], id=name)
+            for name in ("evnt", "event")
+        ] + [
+            pytest.param({"REPRO_DETCHAIN_EVERY": "-5"}, ["run", "fft"],
+                         ["REPRO_DETCHAIN_EVERY", "-5"], id="detchain"),
+            pytest.param({"REPRO_INSTRUCTIONS": "abc"},
+                         ["experiment", "fig1"],
+                         ["REPRO_INSTRUCTIONS", "'abc'"], id="instructions"),
+            pytest.param({"REPRO_JOBS": "x"},
+                         ["experiment", "fig3", "--no-cache"],
+                         ["REPRO_JOBS", "'x'"], id="jobs"),
+            pytest.param({}, ["run", "nosuchapp"],
+                         ["invalid choice", "'nosuchapp'",
+                          *PARALLEL_APP_NAMES], id="app"),
+        ],
+    )
+    def test_unknown_env_engine_fails_cleanly_on_the_cli(
+        self, knobs, argv, expected
+    ):
         """A bad REPRO_ENGINE (a typo, or a retired engine name left in
-        a shell) gets the same treatment as a bad --engine: one line
-        naming the accepted values and exit code 2, no traceback."""
-        env = dict(os.environ, REPRO_ENGINE=name, REPRO_NO_CACHE="1")
+        a shell), a bad numeric knob and an unknown app all get the same
+        treatment as a bad --engine: exit code 2 and one error line
+        naming the bad input, no traceback.  A knob error is that one
+        line; argparse prints its usage first."""
+        env = dict(os.environ, REPRO_NO_CACHE="1", **knobs)
         env["PYTHONPATH"] = _SRC + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "fft",
-             "--instructions", "200"],
+            [sys.executable, "-m", "repro", *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert repr(name) in lines[0]
-        for engine in ENGINES:
-            assert engine in lines[0]
+        if knobs:
+            assert len(lines) == 1, proc.stderr
+        else:
+            assert lines[0].startswith("usage:"), proc.stderr
+        for text in expected:
+            assert text in lines[-1]
 
     def test_engine_not_part_of_cache_key(self):
         from repro.sim.engine import RunSpec, spec_key

@@ -37,7 +37,7 @@ from repro.analysis.semantic.domains import (
     CycleDomainPass,
     seed_attr_domains_from_types,
 )
-from repro.analysis.semantic.effects import classify, infer_effects
+from repro.analysis.semantic.effects import infer_effects
 from repro.analysis.semantic.modgraph import ModuleGraph, module_name_for
 from repro.analysis.suppress import known_rule_ids, parse_suppressions
 
@@ -459,31 +459,25 @@ class TestEffectInference:
     def test_pure_reader_is_window_invariant(self, table):
         eff = table["mod.M.peek"]
         assert eff.pure
-        assert classify(eff) == "window-invariant"
 
     def test_additive_mutation_is_monotone(self, table):
         eff = table["mod.M.bump"]
         assert "total" in eff.mutates
-        assert classify(eff) == "monotone-accumulating"
 
     def test_container_mutation_is_per_cycle_only(self, table):
-        assert classify(table["mod.M.absorb"]) == "per-cycle-only"
+        assert "seen" in table["mod.M.absorb"].mutates
 
     def test_effects_propagate_through_self_calls(self, table):
         eff = table["mod.M.relay"]
         assert "total" in eff.mutates
-        assert classify(eff) == "monotone-accumulating"
 
     def test_rng_and_io_demote_to_per_cycle_only(self, table):
         assert table["mod.M.draw"].rng
         assert table["mod.M.report"].io
-        assert classify(table["mod.M.draw"]) == "per-cycle-only"
-        assert classify(table["mod.M.report"]) == "per-cycle-only"
 
     def test_foreign_mutation_is_tracked(self, table):
         eff = table["mod.Helper.poke"]
         assert any("read_queue" in d for d in eff.foreign)
-        assert classify(eff) == "per-cycle-only"
 
 
 # -------------------------------------------------------------- inline sources

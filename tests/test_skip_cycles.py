@@ -1,6 +1,6 @@
 """The fast-forwarding cycle loop must be bit-identical to the naive loop.
 
-``System.run(skip_cycles=True)`` jumps over dead cycles; every counter,
+``System.run(engine="fast")`` jumps over dead cycles; every counter,
 finish cycle, and channel statistic must nonetheless come out exactly as
 if the loop had stepped cycle by cycle.  These tests pin that contract
 across schedulers, providers, workload shapes, and the max_cycles cap,
@@ -42,8 +42,8 @@ def _parallel_system(app="fft", scheduler="fr-fcfs", provider_spec=None,
 
 
 def _both_modes(make_system, max_cycles=None):
-    naive = make_system().run(max_cycles=max_cycles, skip_cycles=False)
-    fast = make_system().run(max_cycles=max_cycles, skip_cycles=True)
+    naive = make_system().run(max_cycles=max_cycles, engine="naive")
+    fast = make_system().run(max_cycles=max_cycles, engine="fast")
     return naive, fast
 
 
@@ -125,13 +125,6 @@ class TestBitIdentity:
 
 
 class TestRunnerKnobs:
-    def test_no_skip_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SKIP", "1")
-        forced = run_parallel_workload("fft", scale=SCALE)
-        monkeypatch.delenv("REPRO_NO_SKIP")
-        default = run_parallel_workload("fft", scale=SCALE)
-        assert result_fingerprint(forced) == result_fingerprint(default)
-
     def test_verify_skip_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_SKIP", "1")
         result = run_multiprogrammed_workload(sorted(BUNDLES)[0], scale=SCALE)

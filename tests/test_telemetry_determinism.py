@@ -38,8 +38,8 @@ def telemetry_on(monkeypatch):
 
 class TestSkipIdentity:
     def test_samples_and_trace_identical_across_modes(self, telemetry_on):
-        naive = _system().run(skip_cycles=False)
-        fast = _system().run(skip_cycles=True)
+        naive = _system().run(engine="naive")
+        fast = _system().run(engine="fast")
         assert naive.sample_cycles, "sampler produced nothing"
         assert naive.trace_events, "trace produced nothing"
         assert naive.sample_cycles == fast.sample_cycles
@@ -53,16 +53,16 @@ class TestSkipIdentity:
             return _system(scheduler="casras-crit",
                            provider_spec=("cbp", {"entries": 64}))
 
-        naive = make().run(skip_cycles=False)
-        fast = make().run(skip_cycles=True)
+        naive = make().run(engine="naive")
+        fast = make().run(engine="fast")
         assert result_fingerprint(naive) == result_fingerprint(fast)
         # The criticality path exercises the prediction trace family.
         assert any(e[0] == "pred" for e in naive.trace_events)
 
     def test_histograms_identical_across_modes(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        naive = _system().run(skip_cycles=False)
-        fast = _system().run(skip_cycles=True)
+        naive = _system().run(engine="naive")
+        fast = _system().run(engine="fast")
         assert naive.hierarchy.noncrit_latency.state() == \
             fast.hierarchy.noncrit_latency.state()
         for a, b in zip(naive.channels, fast.channels):
@@ -73,8 +73,8 @@ class TestSkipIdentity:
         from repro.telemetry import sampler as sampler_mod
 
         monkeypatch.setattr(sampler_mod, "_SAMPLE_CAP", 16)
-        naive = _system().run(skip_cycles=False)
-        fast = _system().run(skip_cycles=True)
+        naive = _system().run(engine="naive")
+        fast = _system().run(engine="fast")
         assert len(naive.sample_cycles) < 32
         assert naive.sample_cycles == fast.sample_cycles
         assert naive.timeseries == fast.timeseries
@@ -156,11 +156,11 @@ class TestStreamingSkipIdentity:
     def test_streams_identical_across_modes(self, stream_env, tmp_path,
                                             monkeypatch):
         digests = {}
-        for mode, skip in (("naive", False), ("fast", True)):
+        for mode in ("naive", "fast"):
             directory = tmp_path / mode
             monkeypatch.setenv("REPRO_STREAM_DIR", str(directory))
             digests[mode] = (
-                _system().run(skip_cycles=skip), _stream_digest(directory)
+                _system().run(engine=mode), _stream_digest(directory)
             )
         naive, naive_files = digests["naive"]
         fast, fast_files = digests["fast"]
