@@ -710,7 +710,7 @@ HOT_METHODS = {
     "_do_load_issues", "_execute", "_build_candidates",
     "_service_refresh",
     # hot helpers on the issue path, not per-cycle hooks themselves
-    "_resolve_deps", "try_enqueue", "fast_forward",
+    "_complete_at", "try_enqueue", "fast_forward",
 }
 
 

@@ -39,18 +39,21 @@ class LoadAccess:
 
     ``txn`` is filled in if/when the load reaches the DRAM queue, letting
     the naive forwarding mechanism (Section 5.1) promote it in place.
+    ``tag`` is the requester's name for the load, handed back to its
+    completion callback.
     """
 
     __slots__ = ("core", "pc", "address", "issue_cycle", "critical", "magnitude",
-                 "txn", "went_to_dram")
+                 "tag", "txn", "went_to_dram")
 
-    def __init__(self, core, pc, address, issue_cycle, critical, magnitude):
+    def __init__(self, core, pc, address, issue_cycle, critical, magnitude, tag):
         self.core = core
         self.pc = pc
         self.address = address
         self.issue_cycle = issue_cycle
         self.critical = critical
         self.magnitude = magnitude
+        self.tag = tag
         self.txn = None
         self.went_to_dram = False
 
@@ -128,18 +131,19 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------ loads
 
-    def load(self, core, pc, address, critical, magnitude, callback, now):
+    def load(self, core, pc, address, critical, magnitude, callback, now, tag):
         """Issue a load.  Returns a :class:`LoadAccess`, or None if the L1
-        MSHR file is full (the core must replay the load)."""
+        MSHR file is full (the core must replay the load).  When the data
+        arrives, ``callback(tag, cycle)`` runs."""
         stats = self.stats
         l1 = self.l1[core]
         line = l1.lookup(address)
-        handle = LoadAccess(core, pc, address, now, critical, magnitude)
+        handle = LoadAccess(core, pc, address, now, critical, magnitude, tag)
         if line is not None:
             stats.loads += 1
             stats.l1_load_hits += 1
             done = now + self._l1_hit_lat
-            self.events.schedule(done, lambda: callback(done))
+            self.events.schedule(done, lambda: callback(tag, done))
             return handle
 
         line32 = l1.line_addr(address)
@@ -349,7 +353,7 @@ class MemoryHierarchy:
                     if hist is None:
                         hist = stats.pc_latency[handle.pc] = LatencyHistogram()
                     hist.record(latency)
-                callback(now)
+                callback(handle.tag, now)
 
     # ----------------------------------------------------------- coherence
 

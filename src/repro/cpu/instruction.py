@@ -10,9 +10,19 @@ carries:
 * ``dep1``, ``dep2`` — backward distances to producer instructions
   (0 = no dependency); and
 * ``misp``    — for branches, whether this dynamic instance mispredicts.
+
+A seventh column, the *dispatch class* (``DC_*``), is derived from
+``itype`` and ``misp``: the core's per-cycle dispatch gate only needs
+"load / store / mispredicted branch / other", and one bytes lookup beats
+two list indexes plus a comparison chain.  The trace generator fills it
+once per trace; for hand-built traces :meth:`Trace.dispatch_classes`
+derives it on first use, so every core running one trace shares one
+column.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 INT = 0
 FP = 1
@@ -22,11 +32,30 @@ STORE = 4
 
 TYPE_NAMES = {INT: "int", FP: "fp", BRANCH: "branch", LOAD: "load", STORE: "store"}
 
+# Dispatch classes (see the module docstring).
+DC_OTHER = 0
+DC_LOAD = 1
+DC_STORE = 2
+DC_MISP_BRANCH = 3
+
+#: Dispatch class by itype, before mispredicted branches are marked.
+_ITYPE_DCLASS = bytes((DC_OTHER, DC_OTHER, DC_OTHER, DC_LOAD, DC_STORE))
+
+
+def dispatch_classes(itypes, misp) -> bytes:
+    """The dispatch-class column of the given ``itype``/``misp`` columns."""
+    dclass = bytearray(map(_ITYPE_DCLASS.__getitem__, itypes))
+    for i in compress(range(len(dclass)), misp):
+        if itypes[i] == BRANCH:
+            dclass[i] = DC_MISP_BRANCH
+    return bytes(dclass)
+
 
 class Trace:
     """One thread's dynamic instruction stream (parallel-list storage)."""
 
-    __slots__ = ("itypes", "pcs", "addrs", "dep1", "dep2", "misp", "name", "prewarm")
+    __slots__ = ("itypes", "pcs", "addrs", "dep1", "dep2", "misp", "dclass",
+                 "name", "prewarm")
 
     def __init__(self, name: str = "trace"):
         self.name = name
@@ -36,6 +65,7 @@ class Trace:
         self.dep1: list[int] = []
         self.dep2: list[int] = []
         self.misp: list[bool] = []
+        self.dclass = b""
         # Cache pre-warm hints: (base, bytes, level) ranges, where level 1
         # means "resident in this thread's L1 and the L2" and level 2 means
         # "resident in the L2 only".  Models the paper's one-billion-
@@ -54,6 +84,12 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.itypes)
+
+    def dispatch_classes(self) -> bytes:
+        """The dispatch-class column, derived again if the trace grew."""
+        if len(self.dclass) != len(self.itypes):
+            self.dclass = dispatch_classes(self.itypes, self.misp)
+        return self.dclass
 
     def instruction(self, i: int):
         """(itype, pc, addr, dep1, dep2, misp) for instruction ``i``."""

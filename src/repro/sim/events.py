@@ -55,5 +55,9 @@ class EventQueue:
         """Cycle of the earliest pending event, or None if empty."""
         return self._heap[0][0] if self._heap else None
 
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
+
     def __len__(self) -> int:
         return len(self._heap)

@@ -33,6 +33,19 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "") not in ("", "0")
 
 
+def _release(system: System) -> None:
+    """Break the reference cycles that keep a finished ``system`` alive.
+
+    The hierarchy's clock and core-waker closures point back at the
+    System, and pending events close over the hierarchy.  Without these
+    edges the System and its caches are freed as soon as the last
+    reference goes, not at the next full garbage collection.
+    """
+    system.hierarchy.bind_clock(None)
+    system.hierarchy.bind_core_waker(None)
+    system.events.clear()
+
+
 def _run_system(make_system, max_cycles: int) -> SimResult:
     """Run a system built by ``make_system()``, honouring the env knobs.
 
@@ -45,8 +58,10 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
     # Wall-clock observability only (the sanctioned host clock): never
     # feeds back into simulated state.
     start = hostclock.now()
-    result = make_system().run(max_cycles=max_cycles, engine=engine)
+    system = make_system()
+    result = system.run(max_cycles=max_cycles, engine=engine)
     result.wall_seconds = hostclock.now() - start
+    _release(system)
     if _env_flag("REPRO_VERIFY_SKIP"):
         reference = "naive" if engine != "naive" else "fast"
         # The cross-check run must not clobber the primary run's streamed
@@ -57,9 +72,9 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
         saved_stream = os.environ.pop("REPRO_STREAM_DIR", None)
         saved_fleet = os.environ.pop("REPRO_FLEET_DIR", None)
         try:
-            other = make_system().run(
-                max_cycles=max_cycles, engine=reference
-            )
+            system = make_system()
+            other = system.run(max_cycles=max_cycles, engine=reference)
+            _release(system)
         finally:
             if saved_stream is not None:
                 os.environ["REPRO_STREAM_DIR"] = saved_stream

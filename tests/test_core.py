@@ -7,7 +7,17 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.provider import CbpProvider, CriticalityProvider
 from repro.core.cbp import CbpMetric
 from repro.cpu.core import OutOfOrderCore
-from repro.cpu.instruction import BRANCH, INT, LOAD, STORE, Trace
+from repro.cpu.instruction import (
+    BRANCH,
+    DC_LOAD,
+    DC_MISP_BRANCH,
+    DC_OTHER,
+    DC_STORE,
+    INT,
+    LOAD,
+    STORE,
+    Trace,
+)
 from repro.dram.controller import MemorySystem
 from repro.sched.frfcfs import FrFcfsScheduler
 from repro.sim.events import EventQueue
@@ -197,6 +207,53 @@ class TestConsumerCounting:
         h = CoreHarness(trace, provider=Recorder(), prewarm=[(0, 8192, 1)])
         h.run()
         assert counts == [(9, 2)]
+
+
+class TestRingColumns:
+    def test_consumer_count_does_not_leak_into_reused_entry(self):
+        """A load's consumer count is reset when it commits, so the load
+        that later occupies its ROB ring position starts from zero."""
+        counts = []
+
+        class Recorder(CriticalityProvider):
+            def on_load_consumers(self, pc, count):
+                counts.append((pc, count))
+
+        rob = SystemConfig(cores=1).core.rob_entries
+        trace = Trace("ring")
+        trace.append(LOAD, 9, 1 << 12, 0)
+        trace.append(INT, 1, 0, 1)  # the first load's one consumer
+        while len(trace) < rob:
+            trace.append(INT, 2, 0, 0)
+        trace.append(LOAD, 10, 1 << 12, 0)  # same ring position as pc 9
+        trace.append(INT, 3, 0, 0)
+        h = CoreHarness(trace, provider=Recorder(), prewarm=[(0, 8192, 1)])
+        h.run()
+        assert counts == [(9, 1), (10, 0)]
+
+
+class TestDispatchClasses:
+    def test_hand_built_trace_derives_the_column_on_use(self):
+        trace = Trace("dc")
+        trace.append(LOAD, 1, 64, 0)
+        trace.append(STORE, 2, 128, 0)
+        trace.append(BRANCH, 3, 0, 0, 0, misp=True)
+        trace.append(BRANCH, 4, 0, 0, 0, misp=False)
+        trace.append(INT, 5, 0, 0, 0, misp=True)  # not a branch: no stall
+        assert trace.dispatch_classes() == bytes(
+            (DC_LOAD, DC_STORE, DC_MISP_BRANCH, DC_OTHER, DC_OTHER)
+        )
+        trace.append(LOAD, 6, 64, 0)
+        assert trace.dispatch_classes()[-1] == DC_LOAD
+        assert len(trace.dispatch_classes()) == len(trace)
+
+    def test_cores_on_one_trace_share_one_column(self):
+        trace = make_compute_trace(300)
+        trace.append(BRANCH, 7, 0, 1, 0, misp=True)
+        first = CoreHarness(trace).core
+        second = CoreHarness(trace).core
+        assert first._dclass is second._dclass
+        assert first._dclass is trace.dclass
 
 
 class TestRobOccupancy:

@@ -29,7 +29,8 @@ class Harness:
     def load(self, core, addr, pc=1, critical=False, magnitude=0):
         done = []
         handle = self.hier.load(
-            core, pc, addr, critical, magnitude, lambda c: done.append(c), self.now
+            core, pc, addr, critical, magnitude,
+            lambda _tag, c: done.append(c), self.now, 0,
         )
         return handle, done
 

@@ -1,9 +1,13 @@
 """Runner convenience helpers."""
 
+import gc
+
 import pytest
 
+from repro.cache.base import SetAssociativeCache
 from repro.config import SimScale
-from repro.sim.runner import parallel_average_speedup
+from repro.cpu.core import OutOfOrderCore
+from repro.sim.runner import parallel_average_speedup, run_parallel_workload
 from repro.workloads.synthetic import clear_trace_cache
 
 TINY = SimScale(instructions_per_core=700, warmup_instructions=100)
@@ -34,3 +38,30 @@ class TestParallelAverageSpeedup:
     def test_empty_apps(self):
         out = parallel_average_speedup((), "fr-fcfs", scale=TINY)
         assert out["average"] == 0.0
+
+
+class TestRelease:
+    @pytest.mark.parametrize("provider_spec", [None, ("naive", {})])
+    def test_finished_system_is_freed_without_a_collection(self, provider_spec):
+        """No reference cycle keeps a finished run's cores or caches
+        alive: they go with the last reference, not at a gen-2 pass."""
+
+        def model_objects():
+            return [
+                o for o in gc.get_objects()
+                if isinstance(o, (OutOfOrderCore, SetAssociativeCache))
+            ]
+
+        gc.collect()
+        before = model_objects()  # held, so their ids stay taken
+        known = {id(o) for o in before}
+        gc.disable()
+        try:
+            result = run_parallel_workload(
+                "fft", provider_spec=provider_spec, scale=TINY
+            )
+            left = [o for o in model_objects() if id(o) not in known]
+        finally:
+            gc.enable()
+        assert sum(result.committed) > 0
+        assert left == []

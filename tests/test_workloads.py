@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cpu.instruction import BRANCH, LOAD, STORE
+from repro.cpu.instruction import BRANCH, LOAD, STORE, dispatch_classes
+from repro.workloads import synthetic
 from repro.workloads.models import PARALLEL_APPS, SPEC_APPS
 from repro.workloads.multiprog import BUNDLES, bundle_traces
 from repro.workloads.parallel import PARALLEL_APP_NAMES, parallel_traces
@@ -38,6 +39,30 @@ class TestDeterminism:
         a = generate_trace(model, 2000, 0, 8, seed=1)
         b = generate_trace(model, 2000, 0, 8, seed=1)
         assert a is b
+
+
+class TestColumns:
+    def test_static_program_built_once_per_seed(self, monkeypatch):
+        builds = []
+        real = synthetic._build_static_program
+
+        def counting(model, seed):
+            builds.append((model.name, seed))
+            return real(model, seed)
+
+        monkeypatch.setattr(synthetic, "_build_static_program", counting)
+        parallel_traces("fft", 8, 500, seed=1)
+        parallel_traces("fft", 8, 700, seed=1)
+        assert builds == [("fft", 1)]
+        parallel_traces("fft", 8, 500, seed=2)
+        clear_trace_cache()
+        parallel_traces("fft", 8, 500, seed=1)
+        assert builds == [("fft", 1), ("fft", 2), ("fft", 1)]
+
+    def test_generated_dispatch_column_matches_its_columns(self):
+        for trace in bundle_traces("RFGI", 3000, seed=4):
+            assert trace.dclass == dispatch_classes(trace.itypes, trace.misp)
+            assert trace.dispatch_classes() is trace.dclass
 
 
 class TestStructure:
