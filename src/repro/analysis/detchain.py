@@ -23,6 +23,8 @@ settled lazily by ``flush_skip`` and are therefore excluded.
 
 from __future__ import annotations
 
+import struct
+
 from repro.util import env_int
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -66,22 +68,20 @@ class DetChain:
     def sample(self, cycle: int, state: tuple) -> None:
         """Fold one sample: the cycle number, then every state word.
 
-        The fold is inlined (rather than one :meth:`_fold` call per
-        word) because chain sampling sits on every engine loop's hot
-        path — a ~500-word snapshot is folded every interval.
+        Chain sampling sits on every engine loop's hot path (a ~500-word
+        snapshot is folded every interval), so the words are masked to 64
+        bits and packed little-endian into one bytes object, and a single
+        FNV-1a loop runs over its bytes.  The digest is the one
+        :meth:`fold_words` (the per-word reference) produces.
         """
+        mask = _MASK64
+        data = struct.pack(
+            f"<{len(state) + 1}Q", cycle & mask, *map(mask.__and__, state)
+        )
         h = self.digest
         prime = _FNV_PRIME
-        mask = _MASK64
-        v = cycle & mask
-        for _ in range(8):
-            h = ((h ^ (v & 0xFF)) * prime) & mask
-            v >>= 8
-        for value in state:
-            v = value & mask
-            for _ in range(8):
-                h = ((h ^ (v & 0xFF)) * prime) & mask
-                v >>= 8
+        for byte in data:
+            h = ((h ^ byte) * prime) & mask
         self.digest = h
         self.samples += 1
         if self.samples % self._keep_stride == 0:

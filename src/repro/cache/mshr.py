@@ -56,6 +56,10 @@ class MshrFile:
         """Remove and return the entry (miss completed)."""
         return self._entries.pop(line_addr)
 
+    def clear(self) -> None:
+        """Drop every entry (the run is over)."""
+        self._entries.clear()
+
     def det_state(self) -> list[int]:
         """Architectural state words for the determinism hash-chain.
 

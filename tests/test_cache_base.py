@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.cache.base import SetAssociativeCache
+from repro.cache.base import LRU_SHIFT, SetAssociativeCache, line_dirty, line_state
 
 
 def small_cache(ways=2, sets=4, line=64):
@@ -70,7 +70,7 @@ class TestLru:
         c = small_cache()
         c.insert(0, dirty=True)
         c.insert(0, dirty=False)
-        assert c.peek(0).dirty
+        assert line_dirty(c.peek(0))
 
 
 class TestInvalidate:
@@ -91,8 +91,8 @@ class TestState:
         c = small_cache()
         c.insert(0, state="M", dirty=True)
         line = c.peek(0)
-        assert line.state == "M"
-        assert line.dirty
+        assert line_state(line) == "M"
+        assert line_dirty(line)
 
     def test_resident_lines(self):
         c = small_cache()
@@ -113,13 +113,15 @@ class TestDetStateIncremental:
         c = small_cache()
         c.insert(0, state="S")
         c.insert(64, state="S", dirty=True)
-        line = c.peek(0)
-        c.set_line_state(line, "M")
+        c.set_line_state(0, "M")
         assert c.det_state() == c.det_state_scan()
-        c.set_line_dirty(line)
+        c.set_line_dirty(0)
         assert c.det_state() == c.det_state_scan()
-        c.set_line_dirty(c.peek(64), False)
+        c.set_line_dirty(64, False)
         assert c.det_state() == c.det_state_scan()
+        assert line_state(c.peek(0)) == "M"
+        assert line_dirty(c.peek(0))
+        assert not line_dirty(c.peek(64))
 
     @settings(max_examples=50)
     @given(
@@ -148,17 +150,19 @@ class TestDetStateIncremental:
                 c.insert(addr, state="M", dirty=True)
             elif op == "invalidate":
                 c.invalidate(addr)
+            elif op == "state":
+                c.set_line_state(addr, "E")
+            elif op == "dirty":
+                c.set_line_dirty(addr)
             else:
-                line = c.peek(addr)
-                if line is None:
-                    continue
-                if op == "state":
-                    c.set_line_state(line, "E")
-                elif op == "dirty":
-                    c.set_line_dirty(line)
-                else:
-                    c.set_line_dirty(line, False)
+                c.set_line_dirty(addr, False)
             assert c.det_state() == c.det_state_scan()
+            line = c.peek(addr)
+            if op == "state" and line is not None:
+                assert line_state(line) == "E"
+            for cache_set in c._sets:  # dict order is LRU-stamp order
+                stamps = [packed >> LRU_SHIFT for packed in cache_set.values()]
+                assert stamps == sorted(stamps)
 
 
 @settings(max_examples=50)
@@ -184,4 +188,43 @@ def test_capacity_and_contents_match_reference(addresses):
     for s in range(sets):
         for la in reference[s]:
             assert c.peek(la) is not None
+        assert list(c._sets[s]) == reference[s]  # LRU first, MRU last
     assert c.resident_lines() == sum(len(v) for v in reference.values())
+
+
+class TestFill:
+    """``fill`` writes the same tag store as one ``insert`` per line."""
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["insert", "insert_m", "fill"]),
+                           st.integers(0, 1023), st.integers(0, 600)),
+                 min_size=1, max_size=30)
+    )
+    def test_fill_matches_insert_by_insert(self, ops):
+        fast, ref = small_cache(ways=2, sets=2), small_cache(ways=2, sets=2)
+        for op, addr, nbytes in ops:
+            if op == "fill":
+                start = fast.line_addr(addr)
+                stop = addr + nbytes
+                while start < stop:
+                    start = fast.fill(start, stop)
+                    if start < stop:
+                        assert fast.insert(start) is not None
+                        start += 64
+                for line in range(ref.line_addr(addr), stop, 64):
+                    ref.insert(line)
+            else:
+                for cache in (fast, ref):
+                    cache.insert(addr, state="M" if op == "insert_m" else "S",
+                                 dirty=op == "insert_m")
+            assert [list(s.items()) for s in fast._sets] == \
+                [list(s.items()) for s in ref._sets]
+            assert fast.det_state() == ref.det_state() == fast.det_state_scan()
+
+    def test_stops_at_first_full_set(self):
+        c = small_cache(ways=1, sets=2)
+        c.insert(64)
+        assert c.fill(0, 256) == 128   # 0 -> set 0, 64 refreshed, 128 set 0 full
+        assert c.resident_lines() == 2
+        assert c.fill(256, 256) == 256
